@@ -1,6 +1,7 @@
 #include "coord/leafset_coords.h"
 
 #include <algorithm>
+#include <span>
 
 #include "util/check.h"
 
@@ -29,31 +30,71 @@ double LeafsetCoordSystem::Measured(dht::NodeIndex a,
   return ring_.LatencyBetween(a, b);
 }
 
-void LeafsetCoordSystem::OptimizeNode(
-    dht::NodeIndex n,
-    const std::vector<std::pair<dht::NodeIndex, double>>& measurements) {
-  if (measurements.empty()) return;
-  // Snapshot neighbour coordinates: in the real protocol these arrive in
-  // heartbeat payloads, so the sender's coordinate is whatever it last
-  // advertised, not a live reference.
-  std::vector<Vec> neighbour_coords;
-  neighbour_coords.reserve(measurements.size());
-  for (const auto& [m, delay] : measurements) {
-    (void)delay;
-    neighbour_coords.push_back(coords_[m]);
+void LeafsetCoordSystem::Fit(dht::NodeIndex n, FitScratch& s) const {
+  // Snapshot the peers' coordinates, as a heartbeat payload would carry
+  // them, into one contiguous buffer: the objective below reads it a few
+  // hundred times per fit.
+  const std::size_t d = options_.dimensions;
+  s.peer_coords.resize(s.meas.size() * d);
+  for (std::size_t i = 0; i < s.meas.size(); ++i) {
+    const Vec& c = coords_[s.meas[i].first];
+    std::copy(c.begin(), c.end(), s.peer_coords.begin() +
+                                      static_cast<std::ptrdiff_t>(i * d));
   }
-  auto objective = [&](const Vec& x) {
+  const auto objective = [&](const Vec& p) {
     double err = 0.0;
-    for (std::size_t i = 0; i < measurements.size(); ++i) {
-      const double pred = Distance(x, neighbour_coords[i]);
-      err += ErrorTerm(pred, measurements[i].second);
+    const double* q = s.peer_coords.data();
+    for (const auto& m : s.meas) {
+      err += ErrorTerm(std::sqrt(SquaredDistance(p.data(), q, d)), m.second);
+      q += d;
     }
     return err;
   };
-  Vec x = coords_[n];
-  Minimize(objective, x, options_.nm);
-  coords_[n] = Lerp(coords_[n], x, options_.damping);
-  ++updates_;
+  s.x = coords_[n];
+  Minimize(objective, s.x, options_.nm);
+}
+
+void LeafsetCoordSystem::RunSweep(const Sweep& sweep, bool damped) {
+  // Sweep positions grouped by level (-1: nothing to fit).
+  std::vector<std::vector<std::size_t>> levels;
+  for (std::size_t pos = 0; pos < sweep.level.size(); ++pos) {
+    if (sweep.level[pos] < 0) continue;
+    const auto l = static_cast<std::size_t>(sweep.level[pos]);
+    if (l >= levels.size()) levels.resize(l + 1);
+    levels[l].push_back(pos);
+  }
+  const bool noisy = options_.measurement_noise > 0.0;
+  util::ThreadPool* pool = ring_.thread_pool();
+  for (const std::vector<std::size_t>& positions : levels) {
+    const auto run = [&](std::size_t begin, std::size_t end) {
+      FitScratch s;
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::size_t pos = positions[i];
+        const dht::NodeIndex n = sweep.order[pos];
+        s.meas.clear();
+        for (std::size_t j = sweep.peer_begin[pos];
+             j < sweep.peer_begin[pos + 1]; ++j) {
+          double delay = Measured(n, sweep.peers[j]);
+          if (noisy) delay *= sweep.noise[j];
+          s.meas.emplace_back(sweep.peers[j], delay);
+        }
+        Fit(n, s);
+        Vec& c = coords_[n];
+        if (!damped) {
+          c = s.x;
+          continue;
+        }
+        // Lerp(c, x, damping), in place.
+        for (std::size_t k = 0; k < c.size(); ++k)
+          c[k] = c[k] + options_.damping * (s.x[k] - c[k]);
+      }
+    };
+    if (pool != nullptr) {
+      pool->ParallelForRange(positions.size(), 2, run);
+    } else {
+      run(0, positions.size());
+    }
+  }
 }
 
 double LeafsetCoordSystem::ErrorTerm(double predicted, double measured) const {
@@ -79,78 +120,123 @@ void LeafsetCoordSystem::Bootstrap() {
   // leafset spans every placed node, so the first joiners form a mutually
   // consistent scaffold (GNP's landmark solve arises as a special case);
   // every later joiner is constrained by a full, consistent leafset.
+  //
+  // A serial pass in join order picks each joiner's peers and draws their
+  // measurement noise. A placed node never moves again, so a joiner's fit
+  // only has to follow its peers' fits: its level is one above theirs.
   bootstrapped_ = true;
-  std::vector<dht::NodeIndex> order = ring_.SortedAlive();
-  rng_.Shuffle(order);
-
-  // Placed nodes, sorted by ring id.
-  std::vector<dht::LeafsetEntry> placed;
-  placed.reserve(order.size());
+  const std::vector<dht::NodeIndex> sorted = ring_.SortedAlive();
+  const std::size_t total = sorted.size();
   const std::size_t per_side = ring_.per_side();
+  const bool noisy = options_.measurement_noise > 0.0;
+  Sweep sweep;
+  sweep.order = sorted;
+  rng_.Shuffle(sweep.order);
+  sweep.level.assign(total, -1);
+  sweep.peer_begin.resize(total + 1);
+  std::vector<std::size_t> rank(ring_.size());
+  for (std::size_t q = 0; q < total; ++q) rank[sorted[q]] = q;
+  std::vector<char> placed(total, 0);       // by ring rank
+  std::vector<int> after(ring_.size(), 0);  // 1 + level of a placed node
+  std::vector<dht::NodeIndex> cw, ccw;
 
-  for (const dht::NodeIndex n : order) {
-    const dht::NodeId id = ring_.node(n).id();
-    if (!placed.empty()) {
-      // The leafset this node would have on joining the placed-set ring:
-      // `per_side` nearest on each side of its insertion point.
-      const auto it = std::lower_bound(
-          placed.begin(), placed.end(), id,
-          [](const dht::LeafsetEntry& e, dht::NodeId v) { return e.id < v; });
-      const std::size_t pos = static_cast<std::size_t>(it - placed.begin());
-      const std::size_t m = placed.size();
-      const std::size_t take = std::min(per_side, m);
-      std::vector<std::pair<dht::NodeIndex, double>> meas;
-      std::vector<char> used(m, 0);
+  for (std::size_t pos = 0; pos < total; ++pos) {
+    const dht::NodeIndex n = sweep.order[pos];
+    const std::size_t first = sweep.peers.size();
+    sweep.peer_begin[pos] = first;
+    if (pos > 0) {  // the first node has nobody to fit against
+      // The leafset this node would have on joining the placed-set ring
+      // (`pos` others): `per_side` nearest on each side, nearest first,
+      // alternating sides, each placed node once.
+      const std::size_t take = std::min(per_side, pos);
+      cw.clear();
+      ccw.clear();
+      for (std::size_t q = rank[n]; cw.size() < take;) {
+        q = q + 1 == total ? 0 : q + 1;
+        if (placed[q]) cw.push_back(sorted[q]);
+      }
+      for (std::size_t q = rank[n]; ccw.size() < take;) {
+        q = (q == 0 ? total : q) - 1;
+        if (placed[q]) ccw.push_back(sorted[q]);
+      }
+      // Both sides reach the same node only when they wrap into each other.
+      const bool may_repeat = 2 * take > pos;
+      int l = 0;
       for (std::size_t k = 0; k < take; ++k) {
-        const std::size_t succ = (pos + k) % m;
-        const std::size_t pred = (pos + m - 1 - k) % m;
-        for (const std::size_t p : {succ, pred}) {
-          if (used[p]) continue;
-          used[p] = 1;
-          double delay = Measured(n, placed[p].node);
-          if (options_.measurement_noise > 0.0) {
-            delay *= rng_.Uniform(1.0 - options_.measurement_noise,
-                                  1.0 + options_.measurement_noise);
+        for (const dht::NodeIndex p : {cw[k], ccw[k]}) {
+          if (may_repeat &&
+              std::find(sweep.peers.begin() +
+                            static_cast<std::ptrdiff_t>(first),
+                        sweep.peers.end(), p) != sweep.peers.end()) {
+            continue;
           }
-          meas.emplace_back(placed[p].node, delay);
+          sweep.peers.push_back(p);
+          if (noisy) {
+            sweep.noise.push_back(
+                rng_.Uniform(1.0 - options_.measurement_noise,
+                             1.0 + options_.measurement_noise));
+          }
+          l = std::max(l, after[p]);
         }
       }
-      auto objective = [&](const Vec& x) {
-        double err = 0.0;
-        for (const auto& [peer, d] : meas)
-          err += ErrorTerm(Distance(x, coords_[peer]), d);
-        return err;
-      };
-      Vec x = coords_[n];
-      Minimize(objective, x, options_.nm);
-      coords_[n] = std::move(x);
+      sweep.level[pos] = l;
+      after[n] = l + 1;
       ++updates_;
-      placed.insert(placed.begin() + static_cast<std::ptrdiff_t>(pos),
-                    {id, n});
-    } else {
-      placed.push_back({id, n});
     }
+    placed[rank[n]] = 1;
   }
+  sweep.peer_begin[total] = sweep.peers.size();
+  RunSweep(sweep, /*damped=*/false);
 }
 
 void LeafsetCoordSystem::RunRounds(std::size_t rounds) {
   if (options_.incremental_bootstrap && !bootstrapped_) Bootstrap();
-  std::vector<dht::NodeIndex> order = ring_.SortedAlive();
+  // Each sweep is a Gauss–Seidel pass in shuffled order: a node reads its
+  // alive leafset members' latest coordinates and writes only its own. A
+  // serial pass over the order draws the measurement noise in sweep order
+  // and assigns levels: a node runs one level above every earlier node it
+  // reads or that reads it, so any two nodes where one's leafset holds the
+  // other keep their sweep order, and each level's fits are independent.
+  const bool noisy = options_.measurement_noise > 0.0;
+  Sweep sweep;
+  sweep.order = ring_.SortedAlive();
+  sweep.level.resize(sweep.order.size());
+  sweep.peer_begin.resize(sweep.order.size() + 1);
+  std::vector<int> after(ring_.size());       // 1 + level, once run
+  std::vector<int> read_after(ring_.size());  // 1 + level of a reader
   for (std::size_t r = 0; r < rounds; ++r) {
-    rng_.Shuffle(order);
-    for (const dht::NodeIndex n : order) {
-      std::vector<std::pair<dht::NodeIndex, double>> meas;
-      for (const auto& e : ring_.node(n).leafset().Members()) {
+    rng_.Shuffle(sweep.order);
+    std::fill(after.begin(), after.end(), 0);
+    std::fill(read_after.begin(), read_after.end(), 0);
+    sweep.peers.clear();
+    sweep.noise.clear();
+    for (std::size_t pos = 0; pos < sweep.order.size(); ++pos) {
+      const dht::NodeIndex n = sweep.order[pos];
+      const std::size_t first = sweep.peers.size();
+      sweep.peer_begin[pos] = first;
+      for (const dht::LeafsetEntry& e : ring_.node(n).leafset().Members()) {
         if (!ring_.node(e.node).alive()) continue;
-        double delay = Measured(n, e.node);
-        if (options_.measurement_noise > 0.0) {
-          delay *= rng_.Uniform(1.0 - options_.measurement_noise,
-                                1.0 + options_.measurement_noise);
+        sweep.peers.push_back(e.node);
+        if (noisy) {
+          sweep.noise.push_back(rng_.Uniform(1.0 - options_.measurement_noise,
+                                             1.0 + options_.measurement_noise));
         }
-        meas.emplace_back(e.node, delay);
       }
-      OptimizeNode(n, meas);
+      const auto members = std::span(sweep.peers).subspan(first);
+      if (members.empty()) {
+        sweep.level[pos] = -1;
+        continue;
+      }
+      int l = read_after[n];
+      for (const dht::NodeIndex m : members) l = std::max(l, after[m]);
+      sweep.level[pos] = l;
+      after[n] = l + 1;
+      for (const dht::NodeIndex m : members)
+        read_after[m] = std::max(read_after[m], l + 1);
+      ++updates_;
     }
+    sweep.peer_begin[sweep.order.size()] = sweep.peers.size();
+    RunSweep(sweep, /*damped=*/true);
   }
 }
 

@@ -72,6 +72,10 @@ class LeafsetCoordSystem {
 
   // Synchronous mode: `rounds` full sweeps; within a sweep nodes update in
   // random order, each seeing neighbours' latest coordinates (Gauss–Seidel).
+  // With a thread pool on the ring (Ring::set_thread_pool), the simplex
+  // fits of this pass and of Bootstrap run as dependency levels across the
+  // pool; the coordinates are bit-identical to the serial sweep at any
+  // thread count (see docs/PROTOCOLS.md).
   void RunRounds(std::size_t rounds);
 
   // Event-driven mode: subscribe to heartbeat deliveries.
@@ -83,7 +87,12 @@ class LeafsetCoordSystem {
 
   const Vec& coord(dht::NodeIndex n) const { return coords_.at(n); }
   // Override a node's coordinate (testing / warm-start).
-  void SetCoord(dht::NodeIndex n, Vec c) { coords_.at(n) = std::move(c); }
+  void SetCoord(dht::NodeIndex n, Vec c) {
+    P2P_CHECK_MSG(c.size() == options_.dimensions,
+                  "coordinate has " << c.size() << " dimensions, expected "
+                                    << options_.dimensions);
+    coords_.at(n) = std::move(c);
+  }
   double Predict(dht::NodeIndex a, dht::NodeIndex b) const {
     return Distance(coords_.at(a), coords_.at(b));
   }
@@ -92,11 +101,31 @@ class LeafsetCoordSystem {
   std::size_t updates_performed() const { return updates_; }
 
  private:
+  // One synchronous pass, as its serial planning step leaves it: every RNG
+  // draw made, every node's peers chosen and its dependency level set.
+  struct Sweep {
+    std::vector<dht::NodeIndex> order;    // nodes in sweep order
+    std::vector<int> level;               // per position; -1: no fit
+    std::vector<std::size_t> peer_begin;  // per position, into peers (+1)
+    std::vector<dht::NodeIndex> peers;    // in measurement order
+    std::vector<double> noise;            // per peer, when noisy
+  };
+  // One fit's working set, reused across the fits of a worker's chunk.
+  struct FitScratch {
+    std::vector<std::pair<dht::NodeIndex, double>> meas;  // (peer, delay)
+    std::vector<double> peer_coords;  // meas' peers' coordinates, flat
+    Vec x;                            // the fitted point
+  };
+
   double ErrorTerm(double predicted, double measured) const;
-  // One local refinement of node n against (member, measured delay) pairs.
-  void OptimizeNode(dht::NodeIndex n,
-                    const std::vector<std::pair<dht::NodeIndex, double>>&
-                        measurements);
+  // Downhill-simplex fit of node n's coordinate against s.meas, predicting
+  // from the peers' current coordinates. Leaves the fitted point in s.x
+  // and writes no coordinate.
+  void Fit(dht::NodeIndex n, FitScratch& s) const;
+  // Fits every position of the sweep against its peers, one level after
+  // another; a level's fits fan out across the ring's pool. Each node then
+  // moves the damping fraction toward its fit, or onto it when !damped.
+  void RunSweep(const Sweep& sweep, bool damped);
   void OnHeartbeat(dht::NodeIndex from, dht::NodeIndex to, sim::Time send_t,
                    sim::Time recv_t);
 

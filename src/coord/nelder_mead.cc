@@ -19,17 +19,25 @@ NelderMeadResult Minimize(const std::function<double(const Vec&)>& f, Vec& x,
   std::vector<double> vals(d + 1);
   for (std::size_t i = 0; i <= d; ++i) vals[i] = f(pts[i]);
 
-  NelderMeadResult result;
-  auto order = [&] {
-    std::vector<std::size_t> idx(d + 1);
+  // Every buffer is sized here once; the iterations only overwrite them,
+  // with the same arithmetic in the same order as fresh temporaries.
+  std::vector<std::size_t> idx(d + 1);
+  Vec centroid(d), xr(d), xe(d), xc(d);
+  // out = a + s * (b - a): Lerp into an existing buffer (out may be b).
+  const auto lerp_into = [d](const Vec& a, const Vec& b, double s, Vec& out) {
+    for (std::size_t k = 0; k < d; ++k) out[k] = a[k] + s * (b[k] - a[k]);
+  };
+  // Vertices by value. The index vector restarts from 0..d each time, so
+  // ties break exactly as they do on a freshly built one.
+  const auto order = [&] {
     std::iota(idx.begin(), idx.end(), 0);
     std::sort(idx.begin(), idx.end(),
               [&](std::size_t a, std::size_t b) { return vals[a] < vals[b]; });
-    return idx;
   };
 
+  NelderMeadResult result;
   for (std::size_t iter = 0; iter < opt.max_iterations; ++iter) {
-    const auto idx = order();
+    order();
     const std::size_t best = idx[0];
     const std::size_t worst = idx[d];
     const std::size_t second_worst = idx[d - 1];
@@ -41,45 +49,46 @@ NelderMeadResult Minimize(const std::function<double(const Vec&)>& f, Vec& x,
     }
 
     // Centroid of all but the worst vertex.
-    Vec centroid(d, 0.0);
+    std::fill(centroid.begin(), centroid.end(), 0.0);
     for (std::size_t i = 0; i <= d; ++i) {
       if (i == worst) continue;
       for (std::size_t k = 0; k < d; ++k) centroid[k] += pts[i][k];
     }
     for (double& c : centroid) c /= static_cast<double>(d);
 
-    // Reflection.
-    const Vec xr = Lerp(pts[worst], centroid, 1.0 + opt.reflection);
+    // Reflection. An accepted trial point swaps buffers with the worst
+    // vertex instead of copying.
+    lerp_into(pts[worst], centroid, 1.0 + opt.reflection, xr);
     const double fr = f(xr);
     if (fr < vals[best]) {
       // Expansion.
-      const Vec xe = Lerp(pts[worst], centroid, 1.0 + opt.expansion);
+      lerp_into(pts[worst], centroid, 1.0 + opt.expansion, xe);
       const double fe = f(xe);
       if (fe < fr) {
-        pts[worst] = xe;
+        pts[worst].swap(xe);
         vals[worst] = fe;
       } else {
-        pts[worst] = xr;
+        pts[worst].swap(xr);
         vals[worst] = fr;
       }
     } else if (fr < vals[second_worst]) {
-      pts[worst] = xr;
+      pts[worst].swap(xr);
       vals[worst] = fr;
     } else {
       // Contraction (outside if the reflected point improved on the worst,
       // inside otherwise).
       const bool outside = fr < vals[worst];
-      const Vec base = outside ? xr : pts[worst];
-      const Vec xc = Lerp(base, centroid, 1.0 - opt.contraction);
+      lerp_into(outside ? xr : pts[worst], centroid, 1.0 - opt.contraction,
+                xc);
       const double fc = f(xc);
       if (fc < std::min(fr, vals[worst])) {
-        pts[worst] = xc;
+        pts[worst].swap(xc);
         vals[worst] = fc;
       } else {
         // Shrink toward the best vertex.
         for (std::size_t i = 0; i <= d; ++i) {
           if (i == best) continue;
-          pts[i] = Lerp(pts[best], pts[i], opt.shrink);
+          lerp_into(pts[best], pts[i], opt.shrink, pts[i]);
           vals[i] = f(pts[i]);
         }
       }
@@ -87,7 +96,7 @@ NelderMeadResult Minimize(const std::function<double(const Vec&)>& f, Vec& x,
     result.iterations = iter + 1;
   }
 
-  const auto idx = order();
+  order();
   x = pts[idx[0]];
   result.best_value = vals[idx[0]];
   return result;

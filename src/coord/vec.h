@@ -10,14 +10,21 @@ namespace p2p::coord {
 
 using Vec = std::vector<double>;
 
-inline double SquaredDistance(const Vec& a, const Vec& b) {
-  P2P_DCHECK(a.size() == b.size());
+// Over n contiguous components (a Vec's data, or one row of a flat
+// coordinate buffer); the Vec overloads below share this arithmetic.
+inline double SquaredDistance(const double* a, const double* b,
+                              std::size_t n) {
   double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const double d = a[i] - b[i];
     s += d * d;
   }
   return s;
+}
+
+inline double SquaredDistance(const Vec& a, const Vec& b) {
+  P2P_DCHECK(a.size() == b.size());
+  return SquaredDistance(a.data(), b.data(), a.size());
 }
 
 inline double Distance(const Vec& a, const Vec& b) {

@@ -12,33 +12,35 @@ Leafset::Leafset(NodeId owner, std::size_t r) : owner_(owner), r_(r) {
 
 bool Leafset::Insert(NodeId id, NodeIndex node) {
   if (id == owner_) return false;
-  auto upsert = [&](std::vector<LeafsetEntry>& side, NodeId dist_ref,
-                    auto dist_fn) {
-    (void)dist_ref;
-    // Already present? refresh node index.
-    for (auto& e : side) {
-      if (e.id == id) {
-        e.node = node;
-        return false;
-      }
+  auto upsert = [&](std::vector<LeafsetEntry>& side, auto dist_fn) {
+    // The side is sorted by a distance that is distinct per id, so the
+    // first entry at least as far as the candidate is either the candidate
+    // itself (refresh its node index) or its insertion point.
+    const NodeId d = dist_fn(id);
+    const auto at = std::find_if(
+        side.begin(), side.end(),
+        [&](const LeafsetEntry& e) { return dist_fn(e.id) >= d; });
+    if (at != side.end() && at->id == id) {
+      at->node = node;
+      return false;
     }
+    // Append, then rotate into place: capacity grows as one push_back grows
+    // it, which Ring::MemoryBytes counts.
+    const std::size_t pos = static_cast<std::size_t>(at - side.begin());
     side.push_back({id, node});
-    std::sort(side.begin(), side.end(),
-              [&](const LeafsetEntry& a, const LeafsetEntry& b) {
-                return dist_fn(a.id) < dist_fn(b.id);
-              });
+    std::rotate(side.begin() + static_cast<std::ptrdiff_t>(pos),
+                side.end() - 1, side.end());
     if (side.size() > r_) {
-      side.resize(r_);
+      side.pop_back();
       // The candidate may have been the one dropped.
-      return std::any_of(side.begin(), side.end(),
-                         [&](const LeafsetEntry& e) { return e.id == id; });
+      return pos < r_;
     }
     return true;
   };
   const bool su = upsert(
-      succ_, owner_, [this](NodeId x) { return ClockwiseDistance(owner_, x); });
+      succ_, [this](NodeId x) { return ClockwiseDistance(owner_, x); });
   const bool pu = upsert(
-      pred_, owner_, [this](NodeId x) { return ClockwiseDistance(x, owner_); });
+      pred_, [this](NodeId x) { return ClockwiseDistance(x, owner_); });
   return su || pu;
 }
 

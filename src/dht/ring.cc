@@ -68,7 +68,9 @@ NodeIndex Ring::Join(net::HostIdx host, NodeId id) {
   nodes_.emplace_back(id, host, per_side_);
   const NodeIndex n = nodes_.size() - 1;
   ++alive_count_;
-  sorted_dirty_ = true;
+  // One ordered insertion keeps the cache valid, so a per-host bootstrap
+  // does not re-sort the whole membership on every join.
+  sorted_.insert(it, {id, n});
 
   // Bring the joiner and the 2r nodes around it to converged leafsets.
   FillLeafsetFromSorted(n);

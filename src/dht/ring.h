@@ -170,8 +170,8 @@ class Ring {
   RoutingGeometry geometry_;
   std::vector<Node> nodes_;
   std::size_t alive_count_ = 0;
-  // Cache of alive (id, index) sorted by id; invalidated on membership
-  // change.
+  // Cache of alive (id, index) sorted by id. Join keeps it valid with an
+  // ordered insertion; every other membership change invalidates it.
   mutable std::vector<LeafsetEntry> sorted_;
   mutable bool sorted_dirty_ = true;
 };

@@ -28,7 +28,7 @@ ResourcePool::ResourcePool(const PoolConfig& config,
   coord_rng_ = std::make_unique<util::Rng>(rng_.Substream(4));
   bw_rng_ = std::make_unique<util::Rng>(rng_.Substream(5));
 
-  topology_ = net::GenerateTransitStub(config_.topology, topo_rng);
+  topology_ = net::GenerateTransitStub(config_.topology, topo_rng, threads);
   oracle_ = std::make_unique<net::LatencyOracle>(
       topology_, net::OracleOptions{.kind = config_.oracle_kind,
                                     .precision = config_.oracle_precision,
@@ -39,6 +39,7 @@ ResourcePool::ResourcePool(const PoolConfig& config,
   // One DHT node per end system, joined in host order so that
   // participant id == host index == node index.
   ring_ = std::make_unique<dht::Ring>(config_.leafset_size, oracle_.get());
+  ring_->set_thread_pool(threads);
   for (net::HostIdx h = 0; h < topology_.host_count(); ++h) {
     const dht::NodeIndex n = ring_->JoinHashed(h);
     P2P_CHECK(n == h);
@@ -67,6 +68,8 @@ ResourcePool::ResourcePool(const PoolConfig& config,
         *ring_, *bandwidths_, bwest::PacketPairOptions{}, *bw_rng_);
     bw_estimator_->EstimateAll();
   }
+  // The caller's pool may not outlive this object, so the ring drops it.
+  ring_->set_thread_pool(nullptr);
 }
 
 double ResourcePool::TrueLatency(std::size_t a, std::size_t b) const {

@@ -62,7 +62,10 @@ int SamplePaperDegreeBound(util::Rng& rng);
 
 class ResourcePool {
  public:
-  // `threads` parallelises the latency-oracle Dijkstras (may be null).
+  // `threads` (may be null) parallelises construction: topology wiring,
+  // the latency-oracle Dijkstras, ring stabilisation and the coordinate
+  // fits. The pool is identical at any thread count, and `threads` is not
+  // retained once the constructor returns.
   explicit ResourcePool(const PoolConfig& config,
                         util::ThreadPool* threads = nullptr);
 

@@ -212,6 +212,21 @@ TEST(LeafsetCoords, RequiresOracle) {
                util::CheckError);
 }
 
+TEST(LeafsetCoords, SetCoordRejectsWrongDimension) {
+  // Every fit reads its peers' coordinates at a stride of `dimensions`.
+  util::Rng trng(3);
+  const auto topo =
+      net::GenerateTransitStub(p2p::testing::SmallTopologyParams(16), trng);
+  const net::LatencyOracle oracle(topo);
+  dht::Ring ring(8, &oracle);
+  for (std::size_t h = 0; h < 16; ++h) ring.JoinHashed(h);
+  util::Rng crng(4);
+  LeafsetCoordSystem cs(ring, LeafsetCoordOptions{}, crng);
+  EXPECT_THROW(cs.SetCoord(0, Vec(3, 1.0)), util::CheckError);
+  cs.SetCoord(0, Vec(LeafsetCoordOptions{}.dimensions, 1.0));
+  EXPECT_EQ(cs.coord(0), Vec(LeafsetCoordOptions{}.dimensions, 1.0));
+}
+
 TEST(LeafsetCoords, ConvergesCloseToGnpAccuracy) {
   auto& pool = p2p::testing::SharedSmallPool();
   // Pool built coordinates already (4 rounds); measure random-pair error.

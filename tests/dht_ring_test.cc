@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "dht/ring.h"
 #include "util/check.h"
@@ -256,18 +259,76 @@ void ExpectSameEndState(const Ring& a, const Ring& b) {
   }
 }
 
-TEST(Ring, BatchJoinMatchesPerHostJoins) {
-  // The setup-time fast path must be behaviour-invisible: JoinBatchHashed
-  // lands the exact end state of the per-host JoinHashed loop (same
-  // collision probe sequence) followed by one StabilizeAll.
-  Ring per_host(8);
-  for (std::size_t i = 0; i < 60; ++i) per_host.JoinHashed(i);
+// The setup-time fast path must be behaviour-invisible: JoinBatchHashed
+// lands the exact end state of the per-host JoinHashed loop (same
+// collision probe sequence) followed by one StabilizeAll.
+void ExpectBatchMatchesPerHost(std::size_t hosts, std::size_t leafset) {
+  Ring per_host(leafset);
+  for (std::size_t i = 0; i < hosts; ++i) per_host.JoinHashed(i);
   per_host.StabilizeAll();
 
-  Ring batch(8);
-  EXPECT_EQ(batch.JoinBatchHashed(0, 60), 0u);
-  EXPECT_EQ(batch.alive_count(), 60u);
+  Ring batch(leafset);
+  EXPECT_EQ(batch.JoinBatchHashed(0, hosts), 0u);
+  EXPECT_EQ(batch.alive_count(), hosts);
   ExpectSameEndState(per_host, batch);
+}
+
+TEST(Ring, BatchJoinMatchesPerHostJoins) { ExpectBatchMatchesPerHost(60, 8); }
+
+TEST(Ring, BatchJoinMatchesPerHostJoinsAtScale) {
+  // Every per-host join refills 2r + 1 leafsets by Leafset::Insert, and
+  // each insert offers the candidate to both sides, so at this scale every
+  // side overflows and drops its farthest entry on almost every insert.
+  ExpectBatchMatchesPerHost(5000, 32);
+}
+
+TEST(Ring, JoinCacheMatchesBruteForceUnderRandomChurn) {
+  // Join keeps the sorted-membership cache valid by ordered insertion;
+  // every other membership change invalidates it. A seeded interleaving of
+  // all of them must leave SortedAlive() equal to a fresh sort of the live
+  // nodes after every step, and the ring converged whenever no crash is
+  // awaiting detection.
+  Ring ring(8);
+  util::Rng rng(2024);
+  std::size_t next_host = 0;
+  for (; next_host < 24; ++next_host) ring.JoinHashed(next_host);
+  std::vector<NodeIndex> undetected;
+  const auto random_alive = [&] {
+    const std::vector<NodeIndex> alive = ring.SortedAlive();
+    return alive[rng.NextBounded(alive.size())];
+  };
+  for (int step = 0; step < 600; ++step) {
+    const std::uint64_t op = rng.NextBounded(10);
+    if (op < 4 || ring.alive_count() < 12) {
+      ring.JoinHashed(next_host++);
+    } else if (op < 6) {
+      const NodeIndex n = random_alive();
+      ring.Fail(n);
+      undetected.push_back(n);
+    } else if (op < 7) {
+      ring.Leave(random_alive());
+    } else if (op < 9) {
+      if (undetected.empty()) continue;
+      const std::size_t i = rng.NextBounded(undetected.size());
+      ring.DetectFailure(undetected[i]);
+      undetected.erase(undetected.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      ring.SwapNodeIds(random_alive(), random_alive());
+    }
+
+    std::vector<std::pair<NodeId, NodeIndex>> live;
+    for (NodeIndex n = 0; n < ring.size(); ++n)
+      if (ring.node(n).alive()) live.emplace_back(ring.node(n).id(), n);
+    std::sort(live.begin(), live.end());
+    const std::vector<NodeIndex> sorted = ring.SortedAlive();
+    ASSERT_EQ(sorted.size(), live.size()) << "step " << step;
+    for (std::size_t i = 0; i < live.size(); ++i)
+      ASSERT_EQ(sorted[i], live[i].second) << "step " << step << " rank " << i;
+    ASSERT_EQ(ring.alive_count(), live.size());
+    if (undetected.empty()) {
+      ASSERT_NO_THROW(ring.CheckInvariants()) << "step " << step;
+    }
+  }
 }
 
 TEST(Ring, BatchJoinOnPopulatedRingMatches) {

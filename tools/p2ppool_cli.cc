@@ -284,14 +284,16 @@ int CmdMulti(util::FlagParser& flags) {
   params.compute_upper_bound =
       flags.GetBool("bounds", true, "compute per-session bounds");
   const int jobs = flags.GetInt(
-      "jobs", 0, "threads for per-session bounds (0 = hardware concurrency)");
+      "jobs", 0,
+      "threads for the pool build and per-session bounds "
+      "(0 = hardware concurrency)");
   const std::string report_path = ReportPath(flags);
 
+  util::ThreadPool workers(jobs < 0 ? 1 : static_cast<std::size_t>(jobs));
   std::printf("building pool ...\n");
   pool::PoolConfig cfg;
   cfg.seed = params.seed;
-  pool::ResourcePool rp(cfg);
-  util::ThreadPool workers(jobs < 0 ? 1 : static_cast<std::size_t>(jobs));
+  pool::ResourcePool rp(cfg, &workers);
   params.workers = &workers;
   obs::MetricsRegistry registry;
   params.metrics = &registry;

@@ -9,8 +9,9 @@
 #                                           # default: "default sanitize"
 #   tools/run_tests.sh default              # quick pass only
 #   tools/run_tests.sh sanitize             # sanitizer pass only
-#   tools/run_tests.sh tsan                 # ThreadSanitizer, sharded-kernel
-#                                           # suites only (Shard*)
+#   tools/run_tests.sh tsan                 # ThreadSanitizer: sharded-kernel
+#                                           # (Shard*) and coordinate-level
+#                                           # (CoordDifferential) suites
 #   tools/run_tests.sh --report default     # also run every CLI experiment
 #                                           # with --report and validate the
 #                                           # emitted p2preport/v1 JSON
@@ -43,13 +44,15 @@ fi
 for preset in "${presets[@]}"; do
   echo "==== preset: $preset ===="
   if [ "$preset" = "tsan" ]; then
-    # ThreadSanitizer pass: only the sharded-kernel suites run threads, so
-    # build just their binary and run it directly with a Shard* filter —
-    # the multi-threaded TwoShard/mailbox paths are what TSan can catch
-    # (single-threaded suites under TSan add minutes and no coverage).
+    # ThreadSanitizer pass: only the suites that run threads — the sharded
+    # kernel (TwoShard/mailbox paths, Shard* filter) and the level-scheduled
+    # coordinate fits (CoordDifferential) — are built and run directly;
+    # single-threaded suites under TSan add minutes and no coverage.
     cmake --preset tsan
-    cmake --build --preset tsan -j "$(nproc)" --target sim_shard_tests
+    cmake --build --preset tsan -j "$(nproc)" \
+      --target sim_shard_tests coord_tests
     build-tsan/tests/sim_shard_tests --gtest_filter='Shard*'
+    build-tsan/tests/coord_tests --gtest_filter='*CoordDifferential*'
     continue
   fi
   cmake --preset "$preset"
@@ -118,6 +121,15 @@ if [ "$report_mode" = 1 ]; then
     python3 tools/compare_reports.py \
       "$report" "$report_dir/b/$(basename "$report")"
   done
+  # Thread-count determinism: multi's --jobs workers also build its
+  # ResourcePool (topology wiring, ring stabilisation, coordinate fits),
+  # so one worker and four must give the same report.
+  for jobs in 1 4; do
+    "$cli" multi --sessions 10 --jobs "$jobs" \
+           --report "$report_dir/multi-jobs$jobs.json" >/dev/null
+  done
+  python3 tools/compare_reports.py \
+    "$report_dir/multi-jobs1.json" "$report_dir/multi-jobs4.json"
 fi
 
 if [ "$big_mode" = 1 ] && [ "$report_mode" = 0 ]; then
