@@ -1,27 +1,15 @@
 // Kernel scale sweep: event-loop throughput at 1.2k / 5k / 10k hosts.
 //
-// Drives the same synthetic protocol mix (heartbeat periodics, SOMO report
+// Drives a synthetic protocol mix (heartbeat periodics, SOMO report
 // periodics, transport delivery one-shots, failure-timeout rearm churn)
-// through three schedulers:
+// through sim::EventQueue twice: "wheel" pops event by event (peek + pop +
+// FinishPeriodic), "wheel_batched" drains each window with one PopAllUpTo
+// call, which is what Simulation::RunUntil ships. Both consume the
+// identical event stream, so the JSON records the batching delta. The
+// historical heap and pre-wheel legacy columns are frozen in
+// docs/KERNEL.md.
 //
-//   wheel   sim::EventQueue, hierarchical timing wheel (the default)
-//   heap    sim::EventQueue, retained binary-heap backend
-//   legacy  a bench-local copy of the pre-wheel queue: std::function
-//           callbacks in an unordered_map keyed by id, a lazily-compacted
-//           binary heap, and periodic timers built from the old
-//           shared_ptr<bool> + self-rescheduling-wrapper pattern
-//
-// The wheel additionally runs in "batched" mode — one PopAllUpTo drain per
-// window instead of a peek+pop virtual round trip per event, which is what
-// Simulation::RunUntil ships — so the JSON records the batching delta on
-// the identical event stream.
-//
-// All three drivers consume the identical logical event stream — the
-// (time, seq) allocation discipline of the new queue was designed to match
-// the legacy wrapper exactly — so per-scale event counts agree and the
-// ns/event ratio legacy : wheel is a true before/after speedup.
-//
-// Two further sweeps ride along:
+// Further sweeps ride along:
 //
 //   sharded_scales   the sim::ShardedSimulation lockstep kernel at 1/2/4/8
 //                    shards on 10k and 50k hosts. The headline number is
@@ -50,11 +38,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -72,105 +58,13 @@ namespace p2p::bench {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Legacy queue: faithful copy of the pre-wheel src/sim/event_queue.{h,cc}.
-// Kept bench-local so the repo's production tree carries exactly one
-// reference backend (EventQueue's retained heap); this copy exists to price
-// the allocation behaviour the rewrite removed.
+// KernelDriver: sim::EventQueue behind the five calls the workload makes,
+// using the first-class periodic API.
 // ---------------------------------------------------------------------------
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-
-  std::uint64_t Schedule(double t, Callback cb) {
-    const std::uint64_t id = next_id_++;
-    heap_.push_back(Entry{t, next_seq_++, id});
-    std::push_heap(heap_.begin(), heap_.end());
-    callbacks_.emplace(id, std::move(cb));
-    ++live_count_;
-    return id;
-  }
-
-  bool Cancel(std::uint64_t id) {
-    const auto it = callbacks_.find(id);
-    if (it == callbacks_.end()) return false;
-    callbacks_.erase(it);
-    --live_count_;
-    CompactIfMostlyGarbage();
-    return true;
-  }
-
-  bool empty() const { return live_count_ == 0; }
-  std::size_t size() const { return live_count_; }
-  std::size_t heap_footprint() const { return heap_.size(); }
-
-  double PeekTime() {
-    DropCancelledHead();
-    return heap_.front().time;
-  }
-
-  struct Fired {
-    double time;
-    std::uint64_t id;
-    Callback cb;
-  };
-  Fired Pop() {
-    DropCancelledHead();
-    const Entry e = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end());
-    heap_.pop_back();
-    auto it = callbacks_.find(e.id);
-    Fired fired{e.time, e.id, std::move(it->second)};
-    callbacks_.erase(it);
-    --live_count_;
-    return fired;
-  }
-
- private:
-  struct Entry {
-    double time;
-    std::uint64_t seq;
-    std::uint64_t id;
-    bool operator<(const Entry& o) const {
-      if (time != o.time) return time > o.time;
-      return seq > o.seq;
-    }
-  };
-
-  void DropCancelledHead() {
-    while (!heap_.empty() &&
-           callbacks_.find(heap_.front().id) == callbacks_.end()) {
-      std::pop_heap(heap_.begin(), heap_.end());
-      heap_.pop_back();
-    }
-  }
-
-  void CompactIfMostlyGarbage() {
-    if (heap_.size() - live_count_ <= heap_.size() / 2) return;
-    std::erase_if(heap_, [this](const Entry& e) {
-      return callbacks_.find(e.id) == callbacks_.end();
-    });
-    std::make_heap(heap_.begin(), heap_.end());
-  }
-
-  std::vector<Entry> heap_;
-  std::unordered_map<std::uint64_t, Callback> callbacks_;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t next_id_ = 1;
-  std::size_t live_count_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Drivers: a uniform five-call surface over each scheduler. The workload
-// below is templated on this so all three runs execute the same code.
-// ---------------------------------------------------------------------------
-
-// sim::EventQueue under either backend, using the first-class periodic API.
 class KernelDriver {
  public:
   using Id = sim::EventId;
   static constexpr Id kNone = sim::kInvalidEventId;
-
-  explicit KernelDriver(sim::SchedulerKind kind) : q_(kind) {}
 
   double now() const { return now_; }
 
@@ -206,7 +100,7 @@ class KernelDriver {
     return true;
   }
 
-  // Batched drain (Simulation::RunUntil's production path): one virtual
+  // Batched drain (Simulation::RunUntil's production path): one
   // PopAllUpTo call for the whole window, periodics re-armed internally.
   // `on_event` runs after each callback so the caller can count/sample.
   template <class OnEvent>
@@ -233,67 +127,16 @@ class KernelDriver {
   double now_ = 0.0;
 };
 
-// The pre-wheel stack: periodic timers are the old recursive wrapper, and
-// PushBack is the Cancel + re-Schedule churn the Rearm API replaced.
-class LegacyDriver {
- public:
-  using Id = std::uint64_t;
-  static constexpr Id kNone = 0;
-
-  double now() const { return now_; }
-
-  template <class F>
-  void Every(double period, double first_delay, F fn) {
-    Arm(period, now_ + first_delay, std::make_shared<bool>(true),
-        std::make_shared<std::function<void()>>(std::move(fn)));
-  }
-
-  template <class F>
-  Id After(double dt, F fn) {
-    return q_.Schedule(now_ + dt, std::move(fn));
-  }
-
-  template <class MakeFn>
-  void PushBack(Id& id, double t, MakeFn make) {
-    if (id != kNone) q_.Cancel(id);
-    id = q_.Schedule(t, make());
-  }
-
-  bool StepUpTo(double horizon) {
-    if (q_.empty() || q_.PeekTime() > horizon) return false;
-    auto fired = q_.Pop();
-    now_ = fired.time;
-    fired.cb();
-    return true;
-  }
-
-  std::size_t live() const { return q_.size(); }
-  std::size_t footprint() const { return q_.heap_footprint(); }
-
- private:
-  void Arm(double period, double next, std::shared_ptr<bool> alive,
-           std::shared_ptr<std::function<void()>> cb) {
-    q_.Schedule(next, [this, period, next, alive, cb] {
-      if (!*alive) return;
-      (*cb)();
-      if (*alive) Arm(period, next + period, alive, cb);
-    });
-  }
-
-  LegacyEventQueue q_;
-  double now_ = 0.0;
-};
-
 // ---------------------------------------------------------------------------
 // Workload: per host, a 1 Hz heartbeat that fans out two transport
 // deliveries and pushes a failure timeout back (the suppress pattern), and
-// a 0.5 Hz SOMO report that schedules one aggregation hop. Latencies come
-// from the host-indexed part of the seed so every driver sees the same
-// virtual-time stream without sharing an Rng consumption order.
+// a 0.5 Hz SOMO report that schedules one aggregation hop. Latencies are
+// drawn up front, so the stepped and batched runs see the same
+// virtual-time stream.
 // ---------------------------------------------------------------------------
 struct RunStats {
   std::uint64_t events = 0;
-  std::uint64_t delivered = 0;  // workload checksum: must match across drivers
+  std::uint64_t delivered = 0;  // workload checksum: must match across runs
   double wall_ns = 0.0;
   std::size_t peak_live = 0;
   std::size_t peak_footprint = 0;
@@ -307,13 +150,12 @@ struct RunStats {
   }
 };
 
-template <class Driver>
 struct Workload {
-  explicit Workload(Driver& d, std::size_t hosts, std::uint64_t seed)
+  explicit Workload(KernelDriver& d, std::size_t hosts, std::uint64_t seed)
       : driver(d), rng(seed) {
-    timeout.assign(hosts, Driver::kNone);
+    timeout.assign(hosts, KernelDriver::kNone);
     // Per-host fixed latency palette, drawn up front so scheduling-time
-    // RNG draws cannot depend on the driver's internal callback shapes.
+    // RNG draws cannot depend on the drain mode.
     lat.reserve(hosts);
     for (std::size_t h = 0; h < hosts; ++h)
       lat.push_back(rng.Uniform(5.0, 150.0));
@@ -331,9 +173,7 @@ struct Workload {
 
   // What a transport delivery closure actually carries in the protocol
   // stack: addressing, size, and latency bookkeeping. At 32 bytes the
-  // whole closure (this + h + Msg) stays inside InlineFn's 48-byte buffer;
-  // std::function's 16-byte SBO spills it to the heap — the production
-  // difference the bench must price.
+  // whole closure (this + h + Msg) stays inside InlineFn's 48-byte buffer.
   struct Msg {
     std::uint32_t src, dst, bytes;
     float latency;
@@ -370,24 +210,23 @@ struct Workload {
   }
 
   void Expired(std::size_t h, std::uint32_t /*suspect*/) {
-    timeout[h] = Driver::kNone;
+    timeout[h] = KernelDriver::kNone;
     ++expired;
   }
 
-  Driver& driver;
+  KernelDriver& driver;
   util::Rng rng;
   std::vector<double> lat;
-  std::vector<typename Driver::Id> timeout;
+  std::vector<KernelDriver::Id> timeout;
   std::uint64_t delivered = 0;
   std::uint64_t bytes_delivered = 0;
   std::uint64_t probes = 0;
   std::uint64_t expired = 0;
 };
 
-template <class Driver>
-RunStats RunOne(Driver& driver, std::size_t hosts, double horizon,
+RunStats RunOne(KernelDriver& driver, std::size_t hosts, double horizon,
                 std::uint64_t seed) {
-  Workload<Driver> w(driver, hosts, seed);
+  Workload w(driver, hosts, seed);
   RunStats stats;
   const auto t0 = std::chrono::steady_clock::now();
   while (driver.StepUpTo(horizon)) {
@@ -411,7 +250,7 @@ RunStats RunOne(Driver& driver, std::size_t hosts, double horizon,
 // Same workload, but drained through PopAllUpTo in one batched call.
 RunStats RunOneBatched(KernelDriver& driver, std::size_t hosts,
                        double horizon, std::uint64_t seed) {
-  Workload<KernelDriver> w(driver, hosts, seed);
+  Workload w(driver, hosts, seed);
   RunStats stats;
   std::uint64_t n = 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -432,24 +271,13 @@ RunStats RunOneBatched(KernelDriver& driver, std::size_t hosts,
   return stats;
 }
 
-template <class MakeDriver>
 RunStats BestOf(int reps, std::size_t hosts, double horizon,
-                std::uint64_t seed, MakeDriver make) {
+                std::uint64_t seed, bool batched) {
   RunStats best;
   for (int r = 0; r < reps; ++r) {
-    auto driver = make();
-    RunStats s = RunOne(*driver, hosts, horizon, seed);
-    if (r == 0 || s.wall_ns < best.wall_ns) best = s;
-  }
-  return best;
-}
-
-RunStats BestOfBatched(int reps, std::size_t hosts, double horizon,
-                       std::uint64_t seed) {
-  RunStats best;
-  for (int r = 0; r < reps; ++r) {
-    KernelDriver driver(p2p::sim::SchedulerKind::kTimingWheel);
-    RunStats s = RunOneBatched(driver, hosts, horizon, seed);
+    KernelDriver driver;
+    RunStats s = batched ? RunOneBatched(driver, hosts, horizon, seed)
+                         : RunOne(driver, hosts, horizon, seed);
     if (r == 0 || s.wall_ns < best.wall_ns) best = s;
   }
   return best;
@@ -458,7 +286,7 @@ RunStats BestOfBatched(int reps, std::size_t hosts, double horizon,
 struct ScaleResult {
   std::size_t hosts = 0;
   double horizon = 0.0;
-  RunStats wheel, batched, heap, legacy;
+  RunStats wheel, batched;
 };
 
 // ---------------------------------------------------------------------------
@@ -1188,12 +1016,6 @@ void WriteJson(const std::vector<ScaleResult>& results,
     w.Key("horizon_ms").Number(r.horizon);
     run("wheel", r.wheel);
     run("wheel_batched", r.batched);
-    run("heap", r.heap);
-    run("legacy", r.legacy);
-    w.Key("speedup_legacy_over_wheel")
-        .Number(r.legacy.ns_per_event() / r.wheel.ns_per_event());
-    w.Key("speedup_legacy_over_heap")
-        .Number(r.legacy.ns_per_event() / r.heap.ns_per_event());
     // The PopAllUpTo batching delta on the wheel (>1: batching wins).
     w.Key("speedup_step_over_batched")
         .Number(r.wheel.ns_per_event() / r.batched.ns_per_event());
@@ -1342,47 +1164,31 @@ int main(int argc, char** argv) {
   if (quick) scales = {{1200, 5000.0}, {10000, 2000.0}};
 
   std::printf("\n=== Event-loop kernel scale sweep ===\n");
-  std::printf("(wheel = timing-wheel EventQueue, heap = retained heap "
-              "backend,\n legacy = pre-wheel std::function/unordered_map "
-              "queue; best of %d)\n\n", reps);
+  std::printf("(wheel = timing-wheel EventQueue stepped event by event, "
+              "batched = one\n PopAllUpTo drain; best of %d)\n\n", reps);
 
   // Untimed warm-up: the first timed configuration otherwise pays the
   // process's page faults and CPU frequency ramp and skews its ratio.
   {
-    KernelDriver wheel(p2p::sim::SchedulerKind::kTimingWheel);
+    KernelDriver wheel;
     RunOne(wheel, 1200, 3000.0, 7);
-    LegacyDriver legacy;
-    RunOne(legacy, 1200, 3000.0, 7);
   }
 
   std::vector<ScaleResult> results;
   p2p::util::Table table({"hosts", "events", "wheel ns/ev", "batched ns/ev",
-                          "heap ns/ev", "legacy ns/ev", "legacy/wheel",
-                          "peak live", "peak footprint"});
+                          "step/batched", "peak live", "peak footprint"});
   for (const auto& sc : scales) {
     ScaleResult r;
     r.hosts = sc.hosts;
     r.horizon = sc.horizon;
     const std::uint64_t seed = 1000 + sc.hosts;
-    r.wheel = BestOf(reps, sc.hosts, sc.horizon, seed, [] {
-      return std::make_unique<KernelDriver>(
-          p2p::sim::SchedulerKind::kTimingWheel);
-    });
-    r.batched = BestOfBatched(reps, sc.hosts, sc.horizon, seed);
-    r.heap = BestOf(reps, sc.hosts, sc.horizon, seed, [] {
-      return std::make_unique<KernelDriver>(
-          p2p::sim::SchedulerKind::kBinaryHeap);
-    });
-    r.legacy = BestOf(reps, sc.hosts, sc.horizon, seed,
-                      [] { return std::make_unique<LegacyDriver>(); });
+    r.wheel = BestOf(reps, sc.hosts, sc.horizon, seed, /*batched=*/false);
+    r.batched = BestOf(reps, sc.hosts, sc.horizon, seed, /*batched=*/true);
 
-    // The schedulers must agree on the logical stream: same pops, same
+    // Both drain modes must agree on the logical stream: same pops, same
     // deliveries. A mismatch means the bench is comparing different
-    // workloads and its ratios are meaningless.
-    P2P_CHECK(r.wheel.events == r.heap.events);
-    P2P_CHECK(r.wheel.events == r.legacy.events);
+    // workloads and its ratio is meaningless.
     P2P_CHECK(r.wheel.events == r.batched.events);
-    P2P_CHECK(r.wheel.delivered == r.legacy.delivered);
     P2P_CHECK(r.wheel.delivered == r.batched.delivered);
     // Flat memory: the wheel's footprint tracks live entries (lazy garbage
     // only ever accumulates in the overflow heap).
@@ -1391,8 +1197,7 @@ int main(int argc, char** argv) {
     table.AddRow({static_cast<long long>(r.hosts),
                   static_cast<long long>(r.wheel.events),
                   r.wheel.ns_per_event(), r.batched.ns_per_event(),
-                  r.heap.ns_per_event(), r.legacy.ns_per_event(),
-                  r.legacy.ns_per_event() / r.wheel.ns_per_event(),
+                  r.wheel.ns_per_event() / r.batched.ns_per_event(),
                   static_cast<long long>(r.wheel.peak_live),
                   static_cast<long long>(r.wheel.peak_footprint)});
     results.push_back(r);

@@ -1,12 +1,12 @@
 // Bench-regression harness for the ALM planning fast path.
 //
-// Runs the heap+matrix planner against the retained linear-scan reference
-// (BuildAmcastTreeReference) on the same instances, so one JSON file
-// captures the speedup ratio at every size. Unlike bench_micro this binary
-// defaults to machine-readable output: with no flags it writes
-// BENCH_alm.json (google-benchmark JSON schema) to the working directory —
-// tools/run_benches.sh runs it from the repo root. Pass your own
-// --benchmark_out=... to override.
+// Runs the heap+matrix planner against the linear-scan reference
+// (amcastref::BuildAmcastTree, tests/reference/amcast_ref.h) on the same
+// instances, so one JSON file captures the speedup ratio at every size.
+// Unlike bench_micro this binary defaults to machine-readable output: with
+// no flags it writes BENCH_alm.json (google-benchmark JSON schema) to the
+// working directory — tools/run_benches.sh runs it from the repo root.
+// Pass your own --benchmark_out=... to override.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -28,6 +28,7 @@
 #include "net/transit_stub.h"
 #include "obs/metrics.h"
 #include "pool/resource_pool.h"
+#include "reference/amcast_ref.h"
 #include "sim/simulation.h"
 #include "sim/transport.h"
 #include "util/rng.h"
@@ -104,7 +105,7 @@ void BM_AmcastPlanReference(benchmark::State& state) {
       MakeInput(fx, static_cast<std::size_t>(state.range(0)), false);
   const auto latency = OracleFn(fx);
   for (auto _ : state) {
-    const auto r = BuildAmcastTreeReference(in, latency);
+    const auto r = amcastref::BuildAmcastTree(in, latency);
     benchmark::DoNotOptimize(r.height);
   }
 }
@@ -155,7 +156,7 @@ void BM_AmcastPlanWithHelpersReference(benchmark::State& state) {
   alm::AmcastOptions opt;
   opt.selection = alm::HelperSelection::kMinimaxHeuristic;
   for (auto _ : state) {
-    const auto r = BuildAmcastTreeReference(in, latency, opt);
+    const auto r = amcastref::BuildAmcastTree(in, latency, opt);
     benchmark::DoNotOptimize(r.height);
   }
 }

@@ -64,21 +64,14 @@ struct AmcastResult {
 // array load. The matrix must cover the root, all members, and (when
 // options.selection != kNone) all helper candidates. The LatencyFn
 // overload builds that matrix internally and delegates, so existing
-// callers and tests are unaffected. Both produce trees identical to
-// BuildAmcastTreeReference (same pop order, same tie-breaks).
+// callers and tests are unaffected. Both produce the trees of the original
+// linear-scan builder (same pop order, same tie-breaks), which
+// tests/reference/amcast_ref.h keeps for the equivalence test.
 AmcastResult BuildAmcastTree(const AmcastInput& input,
                              const LatencyFn& latency,
                              const AmcastOptions& options = {});
 AmcastResult BuildAmcastTree(const AmcastInput& input,
                              const LatencyMatrix& latency,
                              const AmcastOptions& options = {});
-
-// The original O(P) linear-scan implementation, retained verbatim as the
-// behavioural reference: the randomized equivalence test and the
-// bench-regression harness compare the heap-based fast path against it.
-// Do not optimise this function.
-AmcastResult BuildAmcastTreeReference(const AmcastInput& input,
-                                      const LatencyFn& latency,
-                                      const AmcastOptions& options = {});
 
 }  // namespace p2p::alm

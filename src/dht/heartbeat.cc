@@ -75,9 +75,8 @@ void HeartbeatProtocol::Start() {
   last_heard_.resize(ring_.size());
   detected_.assign(ring_.size(), 0);
   suspected_.resize(ring_.size());
-  tokens_.resize(ring_.size());
   for (NodeIndex n = 0; n < ring_.size(); ++n) {
-    if (ring_.node(n).alive() && OwnsNode(n)) SchedulePeriodic(n);
+    if (ring_.node(n).alive() && OwnsNode(n)) InsertBeat(n);
   }
 }
 
@@ -95,7 +94,6 @@ void HeartbeatProtocol::BindShard(
 
 void HeartbeatProtocol::Stop() {
   running_ = false;
-  for (auto& t : tokens_) sim::Simulation::CancelPeriodic(t);
   sim_.Cancel(beat_walker_);
   beat_walker_ = sim::kInvalidEventId;
   beat_order_.clear();
@@ -108,29 +106,18 @@ void HeartbeatProtocol::OnNodeJoined(NodeIndex n) {
     last_heard_.resize(n + 1);
     detected_.resize(n + 1, 0);
     suspected_.resize(n + 1);
-    tokens_.resize(n + 1);
   }
-  if (OwnsNode(n)) SchedulePeriodic(n);
+  if (OwnsNode(n)) InsertBeat(n);
 }
 
-void HeartbeatProtocol::SchedulePeriodic(NodeIndex n) {
-  // Desynchronise nodes with a random phase within one period. Both paths
-  // draw identically, so the rng stream (and everything downstream of it)
-  // does not depend on batch_beats.
-  const sim::Time phase = sim_.rng().Uniform(0.0, config_.period_ms);
-  if (!config_.batch_beats) {
-    tokens_[n] = sim_.Every(config_.period_ms, phase, [this, n] { Beat(n); });
-    return;
-  }
-  InsertBeat(sim_.now() + phase, n);
-}
-
-void HeartbeatProtocol::InsertBeat(sim::Time first, NodeIndex n) {
+void HeartbeatProtocol::InsertBeat(NodeIndex n) {
+  // Desynchronise nodes with a random phase within one period.
+  const sim::Time first =
+      sim_.now() + sim_.rng().Uniform(0.0, config_.period_ms);
   // The row is cyclically ascending: [cursor, end) then [0, cursor). A
   // deadline past the current segment's tail belongs to the wrapped
-  // segment (it fires next cycle). Ties insert after existing entries —
-  // the per-node timer a joiner would have created carries a younger seq
-  // than anything already scheduled at that time.
+  // segment (it fires next cycle). Ties insert after existing entries, so
+  // nodes due at the same time fire in insertion order.
   const auto fires_no_later = [first](const std::pair<sim::Time, NodeIndex>&
                                           e) { return e.first <= first; };
   std::size_t pos;
@@ -174,7 +161,7 @@ void HeartbeatProtocol::BeatSweep() {
     auto& e = beat_order_[beat_cursor_];
     if (e.first != now) break;
     const NodeIndex n = e.second;
-    e.first += config_.period_ms;  // same arithmetic as a periodic re-arm
+    e.first += config_.period_ms;
     ++beat_cursor_;
     Beat(n);
   }
@@ -291,7 +278,6 @@ std::size_t HeartbeatProtocol::MemoryBytes() const {
            sizeof(std::vector<std::pair<NodeIndex, sim::Time>>);
   for (const auto& row : last_heard_)
     bytes += row.capacity() * sizeof(std::pair<NodeIndex, sim::Time>);
-  bytes += tokens_.capacity() * sizeof(sim::Simulation::PeriodicToken);
   bytes += beat_order_.capacity() * sizeof(std::pair<sim::Time, NodeIndex>);
   bytes += detected_.capacity();
   bytes += suspected_.capacity() * sizeof(std::vector<NodeIndex>);

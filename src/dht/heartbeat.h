@@ -7,6 +7,15 @@
 // latency oracle's host-to-host delays, so observers see realistic
 // send/receive timestamps — and fault injection (loss, jitter, partitions)
 // configured on the bus applies to heartbeats with no protocol changes.
+//
+// Beats are batch-ticked: every node shares one period, so beats recur in
+// a fixed cyclic order, and one self-rescheduling walker event sweeps the
+// phase-sorted beat row. Each node fires at its own deadlines — first at a
+// random phase within one period of its start or join, then += period —
+// and nodes due at the same time fire in row order (insertion order). The
+// event queue holds one always-hot walker record instead of N periodic
+// records scattered across the slab, which is where the run-phase profile
+// showed the heartbeat tax at 50k+ hosts.
 #pragma once
 
 #include <cstdint>
@@ -44,18 +53,6 @@ struct HeartbeatConfig {
   // in-band alerting experiments use this to make the disseminated SOMO
   // view, not simulator ground truth, the thing that heals the ring.
   bool auto_repair = true;
-  // Batch-tick the beat timers (default): every node shares one period, so
-  // beats recur in a fixed cyclic order — one self-rescheduling walker
-  // event sweeps the phase-sorted beat row and fires each node at exactly
-  // the time its own periodic timer would have fired (deadlines accumulate
-  // += period per node, matching the event queue's re-arm arithmetic
-  // bit-for-bit). The observable stream — beat times, send order, observer
-  // callbacks, metrics — is byte-identical to the per-node path (pinned by
-  // a differential test); what changes is the event-queue working set: one
-  // always-hot walker record instead of N periodic records scattered
-  // across the slab, which is where the run-phase profile showed the
-  // heartbeat tax at 50k+ hosts. Set false to retain per-node timers.
-  bool batch_beats = true;
 };
 
 // Modelled heartbeat wire size: the paper pads heartbeats to ~1.5 KB so
@@ -95,7 +92,7 @@ class HeartbeatProtocol {
   // the shared, stabilized Ring); BindShard tells each instance which nodes
   // it owns (`shard_of_host` indexed by ring host, owned by the caller and
   // outliving the protocol) and where its peers live. After binding, Start
-  // schedules periodic beats only for owned nodes, and delivery closures
+  // schedules beats only for owned nodes, and delivery closures
   // target the receiver's owning instance, so all mutable per-node state
   // (last_heard_, suspected_) is touched exclusively by its owner's shard
   // thread. Serial runs never call this; an unbound instance owns every
@@ -140,10 +137,10 @@ class HeartbeatProtocol {
   std::size_t MemoryBytes() const;
 
  private:
-  void SchedulePeriodic(NodeIndex n);
-  // Batched beats: insert node n's first deadline into the cyclic beat
-  // row, keeping the walker's wakeup aligned with the earliest entry.
-  void InsertBeat(sim::Time first, NodeIndex n);
+  // Draw node n's random phase and insert its first deadline into the
+  // cyclic beat row, keeping the walker's wakeup aligned with the earliest
+  // entry.
+  void InsertBeat(NodeIndex n);
   // Fire every beat whose deadline equals the walker's wakeup time, then
   // reschedule for the next entry.
   void BeatSweep();
@@ -152,7 +149,7 @@ class HeartbeatProtocol {
   void Deliver(NodeIndex from, NodeIndex to, sim::Time send_time);
   void CheckTimeouts(NodeIndex n);
 
-  // True when this instance schedules node n's timers and receives its
+  // True when this instance schedules node n's beats and receives its
   // heartbeats (always true when unbound).
   bool OwnsNode(NodeIndex n) const {
     return shard_of_host_ == nullptr ||
@@ -179,13 +176,10 @@ class HeartbeatProtocol {
   // are small (2L entries), so binary search beats hashing, the rows pack
   // cache-dense at 50k nodes, and iteration order is deterministic.
   std::vector<std::vector<std::pair<NodeIndex, sim::Time>>> last_heard_;
-  std::vector<sim::Simulation::PeriodicToken> tokens_;
-  // Batched beats (config_.batch_beats): the beat row, cyclically sorted
-  // by next deadline — [beat_cursor_, end) then [0, beat_cursor_) is
-  // ascending. The sweep advances each fired entry by one period in
-  // place, which preserves the ordering (x < y implies x+p <= y+p, and
-  // rounding ties keep their row order, matching the per-node timers'
-  // seq order).
+  // The beat row, cyclically sorted by next deadline — [beat_cursor_, end)
+  // then [0, beat_cursor_) is ascending. The sweep advances each fired
+  // entry by one period in place, which preserves the ordering (x < y
+  // implies x+p <= y+p, and rounding ties keep their row order).
   std::vector<std::pair<sim::Time, NodeIndex>> beat_order_;
   std::size_t beat_cursor_ = 0;
   sim::EventId beat_walker_ = sim::kInvalidEventId;

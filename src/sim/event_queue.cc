@@ -10,78 +10,9 @@
 namespace p2p::sim {
 
 // ---------------------------------------------------------------------------
-// Ordering backends. A backend owns only the ORDER of scheduled slab
-// records; the records themselves (time, seq, callback, state) live in the
-// facade's slab. Liveness for the lazy structures is resolved through
-// OccurrenceLive(slot, seq): a (slot, seq) pair names one occurrence of one
-// event, so a stale heap entry can never resurrect a cancelled or re-armed
-// record.
-// ---------------------------------------------------------------------------
-
-class EventQueue::Backend {
- public:
-  explicit Backend(EventQueue& q) : q_(q) {}
-  virtual ~Backend() = default;
-
-  Backend(const Backend&) = delete;
-  Backend& operator=(const Backend&) = delete;
-
-  // `slot` is kScheduled with its final (time, seq) when Add is called.
-  virtual void Add(std::uint32_t slot) = 0;
-  // Called while the occurrence named by the backend's entry is already
-  // dead (seq bumped or state changed), so lazy backends may compact.
-  virtual void Remove(std::uint32_t slot) = 0;
-  virtual std::uint32_t PeekMin() = 0;
-  virtual std::uint32_t PopMin() = 0;
-  virtual std::size_t footprint() const = 0;
-
-  // Batched drain (EventQueue::PopAllUpTo): the generic loop still pays a
-  // virtual peek+pop per event — it exists so every backend supports the
-  // API; backends with an inline-walkable "next run" structure override it.
-  virtual void PopAllUpTo(Time t_end, void* ctx, EventQueue::SinkFn sink) {
-    while (!QueueEmpty()) {
-      const std::uint32_t slot = PeekMin();
-      if (time_of(slot) > t_end) return;
-      PopMin();
-      Emit(slot, ctx, sink);
-    }
-  }
-
- protected:
-  // Flat ordering keys — the hot reads of every compare/sort/min scan.
-  Time time_of(std::uint32_t slot) const { return q_.keys_[slot].time; }
-  std::uint64_t seq_of(std::uint32_t slot) const { return q_.keys_[slot].seq; }
-  // The backend's private per-slot location word (wheel: packed bucket
-  // index + position). Valid only while the slot is scheduled.
-  std::uint64_t& word_of(std::uint32_t slot) { return q_.keys_[slot].backend_word; }
-  bool Live(std::uint32_t slot, std::uint64_t seq) const {
-    return q_.OccurrenceLive(slot, seq);
-  }
-  bool QueueEmpty() const { return q_.live_count_ == 0; }
-  // Run one popped slot through the sink (fire one-shot / fire + re-arm
-  // periodic); the slot must already be detached from the backend.
-  void Emit(std::uint32_t slot, void* ctx, EventQueue::SinkFn sink) {
-    q_.EmitSlot(slot, ctx, sink);
-  }
-
- private:
-  EventQueue& q_;
-};
-
-namespace {
-
-// Strict (time, seq) "fires later" order. std::push_heap and friends build
-// a max-heap, so heaping with this comparator keeps the earliest entry at
-// the front.
-template <typename T>
-bool FiresLater(const T& a, const T& b) {
-  return a.time > b.time || (a.time == b.time && a.seq > b.seq);
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// WheelBackend — hierarchical timing wheel (default).
+// Wheel — the hierarchical timing wheel. It owns only the ORDER of
+// scheduled slab records; the records themselves (time, seq, callback,
+// state) live in the queue's slab.
 //
 // Three levels of 256 buckets cover ticks (whole milliseconds) relative to
 // the wheel clock `current_tick_`:
@@ -108,14 +39,20 @@ bool FiresLater(const T& a, const T& b) {
 //
 // Cancellation in buckets and due_ is eager (per-slot location tracking),
 // so only the overflow heap carries garbage — that keeps heap_footprint()
-// within the documented 2 * live + 1 bound.
+// within the documented 2 * live + 1 bound. Overflow entries are
+// (slot, seq) pairs naming one occurrence of one event, so a stale entry
+// can never resurrect a cancelled or re-armed record.
 // ---------------------------------------------------------------------------
 
-class EventQueue::WheelBackend final : public EventQueue::Backend {
+class EventQueue::Wheel {
  public:
-  explicit WheelBackend(EventQueue& q) : Backend(q) { occ_.fill(0); }
+  explicit Wheel(EventQueue& q) : q_(q) { occ_.fill(0); }
 
-  void Add(std::uint32_t slot) override {
+  Wheel(const Wheel&) = delete;
+  Wheel& operator=(const Wheel&) = delete;
+
+  // `slot` is kScheduled with its final (time, seq) when Add is called.
+  void Add(std::uint32_t slot) {
     Place(slot);
     // Keep the cached minimum correct: a strictly earlier arrival takes
     // over; on a time tie the incumbent wins (its seq is smaller).
@@ -125,7 +62,9 @@ class EventQueue::WheelBackend final : public EventQueue::Backend {
     }
   }
 
-  void Remove(std::uint32_t slot) override {
+  // Called once the occurrence is already dead (seq bumped or state
+  // changed), so an overflow compaction inside drops it.
+  void Remove(std::uint32_t slot) {
     if (slot == cache_) cache_ = kNoSlot;
     const std::uint64_t w = word_of(slot);
     switch (KindOf(w)) {
@@ -166,7 +105,7 @@ class EventQueue::WheelBackend final : public EventQueue::Backend {
     word_of(slot) = kNowhere;
   }
 
-  std::uint32_t PeekMin() override {
+  std::uint32_t PeekMin() {
     if (cache_ != kNoSlot) return cache_;
     // Read-only min: the ordered-hierarchy invariant means the earliest
     // entry is in due_, else the first occupied bucket of the lowest
@@ -192,7 +131,7 @@ class EventQueue::WheelBackend final : public EventQueue::Backend {
     return best;
   }
 
-  std::uint32_t PopMin() override {
+  std::uint32_t PopMin() {
     cache_ = kNoSlot;
     for (;;) {
       if (due_cursor_ < due_.size()) {
@@ -246,18 +185,17 @@ class EventQueue::WheelBackend final : public EventQueue::Backend {
     }
   }
 
-  std::size_t footprint() const override {
+  std::size_t footprint() const {
     return bucket_entries_ + (due_.size() - due_cursor_) + overflow_.size();
   }
 
-  // Batched drain: walk the due-run cursor inline — no virtual peek/pop
-  // per event — falling back to PeekMin/PopMin (devirtualised: this class
-  // is final) only when the wheel has to advance or cascade. Sink
-  // callbacks may schedule, cancel, or re-arm freely: the inner loop
-  // re-reads due_/due_cursor_ after every emit, and InsertDue/Remove keep
-  // the served prefix invariant.
-  void PopAllUpTo(Time t_end, void* ctx, EventQueue::SinkFn sink) override {
-    while (!QueueEmpty()) {
+  // Batched drain: walk the due-run cursor inline — no peek/pop per
+  // event — falling back to PeekMin/PopMin only when the wheel has to
+  // advance or cascade. Sink callbacks may schedule, cancel, or re-arm
+  // freely: the inner loop re-reads due_/due_cursor_ after every emit, and
+  // InsertDue/Remove keep the served prefix invariant.
+  void PopAllUpTo(Time t_end, void* ctx, EventQueue::SinkFn sink) {
+    while (!q_.empty()) {
       while (due_cursor_ < due_.size()) {
         const DueItem& it = due_[due_cursor_];
         if (it.time > t_end) return;
@@ -269,18 +207,30 @@ class EventQueue::WheelBackend final : public EventQueue::Backend {
           due_.clear();
           due_cursor_ = 0;
         }
-        Emit(slot, ctx, sink);
+        q_.EmitSlot(slot, ctx, sink);
       }
-      if (QueueEmpty()) return;
+      if (q_.empty()) return;
       const std::uint32_t slot = PeekMin();
       if (time_of(slot) > t_end) return;
       PopMin();  // advances the wheel clock / cascades, then pops `slot`
-      Emit(slot, ctx, sink);
+      q_.EmitSlot(slot, ctx, sink);
     }
   }
 
  private:
-  // Per-slot location, packed into the Key record's backend_word so it
+  // Flat ordering keys — the hot reads of every compare/sort/min scan.
+  Time time_of(std::uint32_t slot) const { return q_.keys_[slot].time; }
+  std::uint64_t seq_of(std::uint32_t slot) const { return q_.keys_[slot].seq; }
+  // The per-slot location word; valid only while the slot is scheduled.
+  std::uint64_t& word_of(std::uint32_t slot) { return q_.keys_[slot].loc; }
+  // Is occurrence `seq` of slab record `slot` still scheduled? The
+  // overflow heap cancels lazily and filters its entries through this.
+  bool Live(std::uint32_t slot, std::uint64_t seq) const {
+    return slot < q_.slab_.size() && q_.state(slot) == State::kScheduled &&
+           q_.keys_[slot].seq == seq;
+  }
+
+  // Per-slot location, packed into the Key record's loc word so it
   // travels on the cache line the queue already touches: bits 0-7 kind,
   // 8-23 global bucket index (level * 256 + slot), 32-63 position within
   // the bucket vector or due_. kNowhere is 0 — a freshly allocated key
@@ -305,6 +255,12 @@ class EventQueue::WheelBackend final : public EventQueue::Backend {
     std::uint64_t seq;
     std::uint32_t slot;
   };
+  // Strict (time, seq) "fires later" order. std::push_heap and friends
+  // build a max-heap, so heaping with this comparator keeps the earliest
+  // overflow entry at the front.
+  static bool FiresLater(const OvItem& a, const OvItem& b) {
+    return a.time > b.time || (a.time == b.time && a.seq > b.seq);
+  }
   // Dense due-run entry: the ordering keys ride alongside the slot so the
   // per-tick sort and the pop scan read contiguous 24-byte records instead
   // of gathering time_/seq_ at random slab indices per comparison.
@@ -337,7 +293,7 @@ class EventQueue::WheelBackend final : public EventQueue::Backend {
     }
     if (bucket < 0) {
       overflow_.push_back(OvItem{t, seq_of(slot), slot});
-      std::push_heap(overflow_.begin(), overflow_.end(), FiresLater<OvItem>);
+      std::push_heap(overflow_.begin(), overflow_.end(), FiresLater);
       word_of(slot) = kInOverflow;
       return;
     }
@@ -441,7 +397,7 @@ class EventQueue::WheelBackend final : public EventQueue::Backend {
   }
 
   void PopOverflowTop() {
-    std::pop_heap(overflow_.begin(), overflow_.end(), FiresLater<OvItem>);
+    std::pop_heap(overflow_.begin(), overflow_.end(), FiresLater);
     overflow_.pop_back();
   }
   void DropOverflowGarbage() {
@@ -455,10 +411,11 @@ class EventQueue::WheelBackend final : public EventQueue::Backend {
     std::erase_if(overflow_, [this](const OvItem& it) {
       return !Live(it.slot, it.seq);
     });
-    std::make_heap(overflow_.begin(), overflow_.end(), FiresLater<OvItem>);
+    std::make_heap(overflow_.begin(), overflow_.end(), FiresLater);
     ov_garbage_ = 0;
   }
 
+  EventQueue& q_;
   std::uint64_t current_tick_ = 0;
   std::array<std::vector<std::uint32_t>, 768> buckets_;
   std::array<std::uint64_t, 12> occ_;  // 256-bit occupancy bitmap per level
@@ -475,79 +432,10 @@ class EventQueue::WheelBackend final : public EventQueue::Backend {
 };
 
 // ---------------------------------------------------------------------------
-// HeapBackend — the retained reference implementation: a flat binary
-// min-heap with lazy cancellation. Cancelled entries stay until they
-// surface; once they outnumber the live ones, a filter-and-reheapify pass
-// discards them — O(heap), but at least half the entries go, so the cost
-// amortises to O(1) per cancellation and the footprint stays within
-// 2 * live + 1 entries.
+// EventQueue: the slab, ids and record lifecycle around the wheel
 // ---------------------------------------------------------------------------
 
-class EventQueue::HeapBackend final : public EventQueue::Backend {
- public:
-  explicit HeapBackend(EventQueue& q) : Backend(q) {}
-
-  void Add(std::uint32_t slot) override {
-    items_.push_back(Item{time_of(slot), seq_of(slot), slot});
-    std::push_heap(items_.begin(), items_.end(), FiresLater<Item>);
-  }
-
-  void Remove(std::uint32_t) override {
-    ++garbage_;
-    if (garbage_ <= items_.size() / 2) return;
-    std::erase_if(items_, [this](const Item& it) {
-      return !Live(it.slot, it.seq);
-    });
-    std::make_heap(items_.begin(), items_.end(), FiresLater<Item>);
-    garbage_ = 0;
-  }
-
-  std::uint32_t PeekMin() override {
-    DropGarbageHead();
-    return items_.front().slot;
-  }
-
-  std::uint32_t PopMin() override {
-    DropGarbageHead();
-    const std::uint32_t slot = items_.front().slot;
-    std::pop_heap(items_.begin(), items_.end(), FiresLater<Item>);
-    items_.pop_back();
-    return slot;
-  }
-
-  std::size_t footprint() const override { return items_.size(); }
-
- private:
-  struct Item {
-    Time time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-
-  void DropGarbageHead() {
-    while (!items_.empty() &&
-           !Live(items_.front().slot, items_.front().seq)) {
-      std::pop_heap(items_.begin(), items_.end(), FiresLater<Item>);
-      items_.pop_back();
-      --garbage_;
-    }
-  }
-
-  std::vector<Item> items_;
-  std::size_t garbage_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Facade
-// ---------------------------------------------------------------------------
-
-EventQueue::EventQueue(SchedulerKind kind) : kind_(kind) {
-  if (kind_ == SchedulerKind::kTimingWheel) {
-    backend_ = std::make_unique<WheelBackend>(*this);
-  } else {
-    backend_ = std::make_unique<HeapBackend>(*this);
-  }
-}
+EventQueue::EventQueue() : wheel_(std::make_unique<Wheel>(*this)) {}
 
 EventQueue::~EventQueue() = default;
 
@@ -559,7 +447,7 @@ void EventQueue::CheckTime(Time t) {
 std::uint32_t EventQueue::AllocSlot() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t slot = free_head_;
-    free_head_ = static_cast<std::uint32_t>(keys_[slot].backend_word);
+    free_head_ = static_cast<std::uint32_t>(keys_[slot].loc);
     return slot;
   }
   P2P_CHECK_MSG(slab_.size() < kNoSlot, "event slab exhausted");
@@ -580,7 +468,7 @@ void EventQueue::FreeSlot(std::uint32_t slot) {
   Key& k = keys_[slot];
   k.state = static_cast<std::uint8_t>(State::kFree);  // clears rearmed
   ++k.gen;  // invalidates every outstanding id for this slot
-  k.backend_word = free_head_;  // freelist link while free
+  k.loc = free_head_;  // freelist link while free
   free_head_ = slot;
   // Attempt a trim only after at least slab/4 frees since the last check,
   // keeping the O(slab) freelist rebuild amortised O(1) per free.
@@ -611,13 +499,13 @@ void EventQueue::MaybeTrimSlab() {
   }
   if (!trimmed) return;
   // The freelist chain threads through the popped records; rebuild it from
-  // the survivors. Backends may still hold lazy (slot, seq) entries for
-  // trimmed indices — OccurrenceLive bound-checks against slab_.size(), so
-  // they read as garbage and compact away.
+  // the survivors. The overflow heap may still hold lazy (slot, seq)
+  // entries for trimmed indices — Wheel::Live bound-checks against
+  // slab_.size(), so they read as garbage and compact away.
   free_head_ = kNoSlot;
   for (std::size_t i = slab_.size(); i-- > 0;) {
     if (state(static_cast<std::uint32_t>(i)) == State::kFree) {
-      keys_[i].backend_word = free_head_;
+      keys_[i].loc = free_head_;
       free_head_ = static_cast<std::uint32_t>(i);
     }
   }
@@ -632,14 +520,6 @@ std::uint32_t EventQueue::SlotOf(EventId id) const {
   return slot;
 }
 
-void EventQueue::BackendAdd(std::uint32_t slot) {
-  if (kind_ == SchedulerKind::kTimingWheel) {
-    static_cast<WheelBackend*>(backend_.get())->Add(slot);
-  } else {
-    backend_->Add(slot);
-  }
-}
-
 EventId EventQueue::Schedule(Time t, Callback cb) {
   P2P_CHECK_MSG(static_cast<bool>(cb), "scheduling a null callback");
   CheckTime(t);
@@ -650,7 +530,7 @@ EventId EventQueue::Schedule(Time t, Callback cb) {
   s.period = -1.0;
   keys_[slot].seq = next_seq_++;
   set_state(slot, State::kScheduled);
-  BackendAdd(slot);
+  wheel_->Add(slot);
   ++live_count_;
   return IdOf(slot);
 }
@@ -667,7 +547,7 @@ EventId EventQueue::SchedulePeriodic(Time first, Time period, Callback cb) {
   s.period = period;
   keys_[slot].seq = next_seq_++;
   set_state(slot, State::kScheduled);
-  BackendAdd(slot);
+  wheel_->Add(slot);
   ++live_count_;
   return IdOf(slot);
 }
@@ -678,10 +558,10 @@ bool EventQueue::Cancel(EventId id) {
   Slot& s = slab_[slot];
   switch (state(slot)) {
     case State::kScheduled:
-      // Kill the occurrence before telling the backend, so lazy backends
-      // see it as garbage if they compact inside Remove.
+      // Kill the occurrence before telling the wheel, so an overflow
+      // compaction inside Remove sees it as garbage.
       set_state(slot, State::kStopped);
-      backend_->Remove(slot);
+      wheel_->Remove(slot);
       --live_count_;
       FreeSlot(slot);
       return true;
@@ -709,12 +589,12 @@ bool EventQueue::Rearm(EventId id, Time t) {
   Slot& s = slab_[slot];
   switch (state(slot)) {
     case State::kScheduled:
-      // Fresh seq first: the backend's old entry must already read as dead
-      // when Remove runs, in case a lazy backend compacts.
+      // Fresh seq first: the wheel's old entry must already read as dead
+      // when Remove runs, in case the overflow heap compacts.
       keys_[slot].seq = next_seq_++;
       keys_[slot].time = t;
-      backend_->Remove(slot);
-      BackendAdd(slot);
+      wheel_->Remove(slot);
+      wheel_->Add(slot);
       return true;
     case State::kFiring:
       // A firing one-shot reads as already fired (see Cancel above).
@@ -733,12 +613,12 @@ bool EventQueue::Rearm(EventId id, Time t) {
 
 Time EventQueue::PeekTime() const {
   P2P_CHECK(!empty());
-  return keys_[backend_->PeekMin()].time;
+  return keys_[wheel_->PeekMin()].time;
 }
 
 EventQueue::Fired EventQueue::Pop() {
   P2P_CHECK(!empty());
-  const std::uint32_t slot = backend_->PopMin();
+  const std::uint32_t slot = wheel_->PopMin();
   Slot& s = slab_[slot];
   Fired fired;
   fired.time = keys_[slot].time;
@@ -775,7 +655,7 @@ bool EventQueue::FinishPeriodic(EventId id) {
   if ((k.state & kRearmedBit) == 0) k.time += s.period;
   k.state = static_cast<std::uint8_t>(State::kScheduled);  // clears rearmed
   k.seq = next_seq_++;
-  BackendAdd(slot);
+  wheel_->Add(slot);
   return true;
 }
 
@@ -805,16 +685,11 @@ void EventQueue::EmitSlot(std::uint32_t slot, void* ctx, SinkFn sink) {
 
 void EventQueue::PopAllUpTo(Time t_end, void* ctx, SinkFn sink) {
   CheckTime(t_end);
-  backend_->PopAllUpTo(t_end, ctx, sink);
-}
-
-bool EventQueue::OccurrenceLive(std::uint32_t slot, std::uint64_t seq) const {
-  return slot < slab_.size() && state(slot) == State::kScheduled &&
-         keys_[slot].seq == seq;
+  wheel_->PopAllUpTo(t_end, ctx, sink);
 }
 
 std::size_t EventQueue::heap_footprint() const {
-  return backend_->footprint();
+  return wheel_->footprint();
 }
 
 }  // namespace p2p::sim

@@ -1,24 +1,15 @@
 // Discrete-event scheduler: the kernel hot path of every simulation.
 //
 // Events are (time, seq)-ordered; ties on time break by insertion order
-// (seq), which makes simulations deterministic. The public surface is a
-// facade over two interchangeable ordering backends:
-//
-//   * kTimingWheel (default) — a hierarchical timing wheel (Varghese &
-//     Lauck): three levels of 256 power-of-two-millisecond buckets
-//     (1 ms / 256 ms / 65,536 ms per slot, ~4.7 h horizon), entries
-//     cascading down as the clock approaches, with a far-future overflow
-//     min-heap beyond the horizon. Schedule/cancel/pop are amortized O(1)
-//     for the timer-heavy workloads the protocol stack generates.
-//   * kBinaryHeap — the retained reference implementation (std::push_heap
-//     over a flat vector, lazy cancellation with compaction). Kept so
-//     differential tests can prove the wheel pops the exact same order,
-//     and so benches can price the swap.
-//
-// Both backends order the same slab of event records, so the observable
-// behaviour — pop order, ids, callbacks — is identical by construction of
-// everything except the ordering data structure itself
-// (tests/sim_kernel_test.cc enforces it with randomized differential runs).
+// (seq), which makes simulations deterministic. The order is kept by a
+// hierarchical timing wheel (Varghese & Lauck): three levels of 256
+// power-of-two-millisecond buckets (1 ms / 256 ms / 65,536 ms per slot,
+// ~4.7 h horizon), entries cascading down as the clock approaches, with a
+// far-future overflow min-heap beyond the horizon. Schedule/cancel/pop are
+// amortized O(1) for the timer-heavy workloads the protocol stack
+// generates. tests/sim_kernel_test.cc pins the pop order against a
+// minimal ordered-set model (tests/reference/event_queue_ref.h) with
+// randomized differential runs.
 //
 // Event records live in a slab (stable storage, freelist-recycled) and
 // callbacks are util::InlineFn, so steady-state scheduling performs no
@@ -27,9 +18,9 @@
 // FinishPeriodic move its deadline in place, replacing the historical
 // cancel-and-reschedule churn that heap compaction existed to fight.
 //
-// Ordering contract (both backends): callers never schedule earlier than
-// the time of the last popped event. The owning Simulation enforces
-// t >= now; the raw queue CHECKs only t >= 0 and finiteness.
+// Ordering contract: callers never schedule earlier than the time of the
+// last popped event. The owning Simulation enforces t >= now; the raw
+// queue CHECKs only t >= 0 and finiteness.
 #pragma once
 
 #include <cstdint>
@@ -50,22 +41,15 @@ using Time = double;
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-enum class SchedulerKind {
-  kTimingWheel,  // hierarchical timing wheel + overflow heap (default)
-  kBinaryHeap,   // retained reference: binary min-heap
-};
-
 class EventQueue {
  public:
   using Callback = util::InlineFn;
 
-  explicit EventQueue(SchedulerKind kind = SchedulerKind::kTimingWheel);
+  EventQueue();
   ~EventQueue();
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  SchedulerKind scheduler() const { return kind_; }
 
   // Schedule `cb` at absolute time `t` (must be finite, >= 0, and >= the
   // last popped event's time — the owning Simulation enforces the
@@ -93,10 +77,9 @@ class EventQueue {
   bool empty() const { return live_count_ == 0; }
   std::size_t size() const { return live_count_; }
 
-  // Entries currently held by the ordering backend, live or cancelled.
-  // Bounded by 2 * size() + 1 (wheel buckets cancel eagerly; only the
-  // lazy structures — the reference heap and the wheel's overflow heap —
-  // carry garbage, and both compact at the half-full mark).
+  // Entries currently held by the wheel, live or cancelled. Bounded by
+  // 2 * size() + 1: buckets cancel eagerly, and only the overflow heap
+  // carries garbage, compacting at the half-full mark.
   std::size_t heap_footprint() const;
 
   // Time of the earliest live event. Requires !empty().
@@ -123,9 +106,8 @@ class EventQueue {
   bool FinishPeriodic(EventId id);
 
   // Drain every event with time <= t_end into `sink`, in (time, seq)
-  // order, with ONE virtual backend call for the whole batch — the wheel
-  // backend walks its due-run cursor inline instead of paying a
-  // peek+pop virtual round trip per event. EVERY firing — one-shot or
+  // order — the wheel walks its due-run cursor inline instead of paying a
+  // peek+pop round trip per event. EVERY firing — one-shot or
   // periodic — arrives with `periodic` pointing at the stored callback
   // (invoke-in-place: no 64-byte closure move per event); the sink runs
   // it through the pointer and must NOT call FinishPeriodic. One-shot
@@ -144,10 +126,6 @@ class EventQueue {
     });
   }
 
-  // Liveness test used by the lazy backends: is occurrence `seq` of slab
-  // record `slot` still scheduled? (Backend plumbing, not client API.)
-  bool OccurrenceLive(std::uint32_t slot, std::uint64_t seq) const;
-
   // Slab footprint introspection: current record capacity, the most
   // records ever live at once, and the live count. Long simulations with
   // bursty phases (mass joins, churn storms) can watch slab_capacity()
@@ -159,14 +137,14 @@ class EventQueue {
  private:
   enum class State : std::uint8_t {
     kFree,       // slab record on the freelist
-    kScheduled,  // owned by the ordering backend
+    kScheduled,  // placed in the wheel
     kFiring,     // periodic popped, callback running, awaiting FinishPeriodic
     kStopped,    // periodic cancelled while firing; freed by FinishPeriodic
   };
 
   // Hot-field split, round two. Everything the queue machinery reads
   // about a pending event — ordering keys, generation, lifecycle state,
-  // freelist link, and the backend's location word — packs into one
+  // freelist link, and the wheel's location word — packs into one
   // 32-byte Key record (keys_ below), two per cache line, so serving a
   // wheel tick or recycling a fired record touches ONE line of metadata
   // instead of gathering time/seq/state/location from four parallel
@@ -186,9 +164,9 @@ class EventQueue {
   struct alignas(32) Key {
     Time time = 0.0;
     std::uint64_t seq = 0;
-    // While scheduled: the ordering backend's private location word (the
-    // wheel packs bucket/position here). While free: the freelist link.
-    std::uint64_t backend_word = 0;
+    // While scheduled: the wheel's location word (packed bucket/position).
+    // While free: the freelist link.
+    std::uint64_t loc = 0;
     std::uint32_t gen = 0;
     // State enum in the low bits, rearmed-while-firing flag in the top
     // bit (see kRearmedBit).
@@ -197,9 +175,7 @@ class EventQueue {
   static_assert(sizeof(Key) == 32,
                 "two key records per cache line, never straddling");
 
-  class Backend;
-  class WheelBackend;
-  class HeapBackend;
+  class Wheel;
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   // Slabs below this size are never trimmed — reclaiming a few KB is not
@@ -240,16 +216,11 @@ class EventQueue {
 
   std::uint32_t AllocSlot();
   void FreeSlot(std::uint32_t slot);
-  // backend_->Add devirtualised for the default wheel: Schedule pays this
-  // once per event, and the static cast lets Place() inline into the
-  // scheduling hot path.
-  void BackendAdd(std::uint32_t slot);
   void MaybeTrimSlab();
   // Fire one already-popped slot through a PopAllUpTo sink.
   void EmitSlot(std::uint32_t slot, void* ctx, SinkFn sink);
   static void CheckTime(Time t);
 
-  SchedulerKind kind_;
   // std::deque: callbacks are invoked through pointers into the slab while
   // the callback itself schedules new events (growing the slab), so
   // records must never move.
@@ -258,7 +229,7 @@ class EventQueue {
   // slab_; accessed by index only, so vector reallocation on growth is
   // safe.
   std::vector<Key> keys_;
-  mutable std::unique_ptr<Backend> backend_;
+  std::unique_ptr<Wheel> wheel_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;

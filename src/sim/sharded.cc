@@ -58,8 +58,7 @@ class ShardedSimulation::Router : public ShardRouter {
 
 ShardedSimulation::ShardedSimulation(const ShardedOptions& opts)
     : lookahead_ms_(opts.lookahead_ms),
-      pair_lookahead_(opts.lookahead_matrix),
-      coalesced_(opts.coalesced_exchange) {
+      pair_lookahead_(opts.lookahead_matrix) {
   P2P_CHECK_MSG(opts.shards >= 1, "need at least one shard");
   P2P_CHECK_MSG(opts.shards == 1 || opts.lookahead_ms > 0.0,
                 "multi-shard runs need a positive lookahead");
@@ -90,12 +89,10 @@ ShardedSimulation::ShardedSimulation(const ShardedOptions& opts)
   shards_.reserve(opts.shards);
   for (std::size_t s = 0; s < opts.shards; ++s) {
     auto shard = std::make_unique<Shard>();
-    shard->sim = std::make_unique<Simulation>(
-        ShardSeed(opts.seed, s, opts.shards), opts.scheduler);
+    shard->sim =
+        std::make_unique<Simulation>(ShardSeed(opts.seed, s, opts.shards));
     shard->outbox.resize(opts.shards);
-    shard->outbox_pm.resize(opts.shards);
     shard->staged.resize(opts.shards);
-    shard->staged_pm.resize(opts.shards);
     shard->merge_pos.resize(opts.shards, 0);
     shards_.push_back(std::move(shard));
   }
@@ -155,13 +152,9 @@ void ShardedSimulation::Post(std::size_t src, std::size_t dst,
                   "deliver=" << deliver_time << " src_now="
                              << shards_[src]->sim->now() << " bound=" << bound);
   }
-  if (coalesced_) {
-    OutColumn& box = shards_[src]->outbox[dst];
-    box.deliver.push_back(deliver_time);
-    box.cb.push_back(std::move(cb));
-  } else {
-    shards_[src]->outbox_pm[dst].push_back(Pending{deliver_time, std::move(cb)});
-  }
+  OutColumn& box = shards_[src]->outbox[dst];
+  box.deliver.push_back(deliver_time);
+  box.cb.push_back(std::move(cb));
 }
 
 void ShardedSimulation::PostRemoteMessage(std::uint32_t src_shard,
@@ -190,15 +183,9 @@ void ShardedSimulation::ExchangeMailboxes() {
   const std::size_t n = shards_.size();
   for (std::size_t dst = 0; dst < n; ++dst) {
     for (std::size_t src = 0; src < n; ++src) {
-      if (coalesced_) {
-        OutColumn& box = shards_[src]->outbox[dst];
-        cross_messages_ += box.size();
-        std::swap(shards_[dst]->staged[src], box);
-      } else {
-        auto& box = shards_[src]->outbox_pm[dst];
-        cross_messages_ += box.size();
-        shards_[dst]->staged_pm[src].swap(box);
-      }
+      OutColumn& box = shards_[src]->outbox[dst];
+      cross_messages_ += box.size();
+      std::swap(shards_[dst]->staged[src], box);
     }
   }
 }
@@ -227,32 +214,11 @@ void ShardedSimulation::DrainInbox(Shard& shard) const {
   // fixes this queue's seq tie-breaks independent of the thread schedule —
   // the merge runs on the owning shard's thread, but its inputs and output
   // order are schedule-invariant.
-  if (!coalesced_) {
-    // Retained per-message path: concatenating the staged boxes in src
-    // order puts the scratch in (src_shard, send_seq) order, so a stable
-    // sort on time alone finishes the key.
-    for (std::size_t src = 0; src < shard.staged_pm.size(); ++src) {
-      auto& box = shard.staged_pm[src];
-      for (auto& p : box) {
-        shard.inbox.push_back(Routed{p.deliver,
-                                     static_cast<std::uint32_t>(src),
-                                     std::move(p.cb)});
-      }
-      box.clear();
-    }
-    std::stable_sort(shard.inbox.begin(), shard.inbox.end(),
-                     [](const Routed& a, const Routed& b) {
-                       return a.deliver < b.deliver;
-                     });
-    for (Routed& r : shard.inbox) shard.sim->At(r.deliver, std::move(r.cb));
-    shard.inbox.clear();
-    return;
-  }
-
-  // Coalesced path: each staged[src] run is pre-sorted (SortOutboxes ran on
-  // the sender before the barrier), so a k-way merge — strict < on deliver
-  // time with the scan in src order breaking ties — emits the canonical
-  // order directly. k = shard count, so the linear scan per pop beats a
+  //
+  // Each staged[src] run is pre-sorted (SortOutboxes ran on the sender
+  // before the barrier), so a k-way merge — strict < on deliver time with
+  // the scan in src order breaking ties — emits the canonical order
+  // directly. k = shard count, so the linear scan per pop beats a
   // heap for every realistic shard count, and the whole drain does no
   // comparison-sort work over the concatenation.
   const std::size_t n = shard.staged.size();
@@ -285,11 +251,7 @@ bool ShardedSimulation::Idle() const {
     if (shard->sim->pending_events() > 0) return false;
     for (const auto& box : shard->staged)
       if (!box.empty()) return false;
-    for (const auto& box : shard->staged_pm)
-      if (!box.empty()) return false;
     for (const auto& box : shard->outbox)
-      if (!box.empty()) return false;
-    for (const auto& box : shard->outbox_pm)
       if (!box.empty()) return false;
   }
   return true;
@@ -341,7 +303,7 @@ std::size_t ShardedSimulation::RunUntil(Time t_end) {
       const auto t1 = std::chrono::steady_clock::now();
       shard.sim->RunUntil(shard.window_end);
       const auto t2 = std::chrono::steady_clock::now();
-      if (coalesced_) SortOutboxes(shard);
+      SortOutboxes(shard);
       const auto t3 = std::chrono::steady_clock::now();
       shard.drain_ns = static_cast<double>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)

@@ -16,7 +16,7 @@
 // to miss; cross-shard sends accumulate in per-(src,dst) mailboxes and are
 // exchanged at the barrier. The uniform-lookahead path is the matrix path
 // with every entry equal: all window ends coincide and the kernel steps in
-// the classic fixed windows (the retained differential baseline).
+// the classic fixed windows.
 //
 // Determinism contract:
 //   * same seed + same shard count -> byte-identical runs, independent of
@@ -30,8 +30,7 @@
 //   * a 1-shard run IS the serial kernel: RunUntil forwards to the single
 //     Simulation (no windows, no barriers), and ShardSeed(seed, 0, 1) ==
 //     seed, so the event log matches sim::Simulation byte for byte
-//     (tests/sim_shard_test.cc pins it the way the SchedulerAB tests
-//     pinned the wheel to the heap).
+//     (tests/sim_shard_test.cc pins it).
 //
 // Exchange barrier: cross-shard sends stage in flat SoA columns — one
 // (deliver[], cb[], order[]) column per (src, dst) pair. Each sending
@@ -39,10 +38,7 @@
 // sort of the u32 `order` permutation on deliver time; the 64-byte
 // callbacks never move), the barrier itself claims columns with O(1)
 // vector swaps, and DrainInbox k-way merges the pre-sorted runs straight
-// into the destination queue — no stable_sort over the concatenation, no
-// per-message `Routed` records. The retained per-message path
-// (`coalesced_exchange = false`) keeps the old concatenate+stable_sort
-// drain for differential tests; both produce byte-identical schedules.
+// into the destination queue — no comparison sort over the concatenation.
 //
 // Cross-shard sends route through Transport::ShardRouter: the sending
 // shard resolves faults/delay/trace and counts sent/bytes, the receiving
@@ -67,7 +63,7 @@ struct ShardedOptions {
   std::size_t shards = 1;
   // Uniform lockstep window length; must be a lower bound on cross-shard
   // one-way latency (net::ShardPlan::lookahead_ms). Required > 0 when
-  // shards > 1. This is the retained fixed-lookahead path.
+  // shards > 1. Without a matrix it bounds every pair.
   double lookahead_ms = 0.0;
   // Optional measured per-pair lookahead (row-major shards x shards;
   // net::ShardPlan::lookahead_matrix). When non-empty, windows advance by
@@ -76,15 +72,11 @@ struct ShardedOptions {
   // bound on that channel's latency and >= lookahead_ms.
   std::vector<double> lookahead_matrix;
   std::uint64_t seed = 1;
-  SchedulerKind scheduler = SchedulerKind::kTimingWheel;
   // Worker threads for the window phase; 0 = min(shards, hardware).
   // Results are identical for any value — the barrier design makes the
   // thread schedule unobservable — so benches on small machines can run
   // shards sequentially and still measure the same event streams.
   std::size_t threads = 0;
-  // Coalesced SoA exchange (default) vs the retained per-message
-  // concatenate+stable_sort path. Schedules are byte-identical either way.
-  bool coalesced_exchange = true;
 };
 
 // Shard s's RNG seed. Identity for the 1-shard run (serial equivalence);
@@ -173,16 +165,7 @@ class ShardedSimulation {
   TransportStats MergedTransportStats() const;
 
  private:
-  struct Pending {
-    Time deliver = 0.0;
-    EventQueue::Callback cb;
-  };
-  struct Routed {
-    Time deliver = 0.0;
-    std::uint32_t src_shard = 0;
-    EventQueue::Callback cb;
-  };
-  // One (src, dst) staging column of the coalesced exchange: parallel
+  // One (src, dst) staging column of the exchange: parallel
   // deliver/cb arrays in append (send_seq) order plus the sorted
   // permutation. Sorting moves 4-byte indices; the callbacks stay put
   // until the drain moves each exactly once into the destination queue.
@@ -205,10 +188,8 @@ class ShardedSimulation {
     // outbox[dst]: sends posted by this shard during the current window,
     // in send order (the canonical seq component). Touched only by this
     // shard's thread inside a window and by the barrier thread outside —
-    // the ParallelFor join is the synchronisation point. `outbox` is the
-    // coalesced SoA form; `outbox_pm` the retained per-message form.
+    // the ParallelFor join is the synchronisation point.
     std::vector<OutColumn> outbox;
-    std::vector<std::vector<Pending>> outbox_pm;
     // staged[src]: cross-shard arrivals from shard `src`, claimed at the
     // barrier by an O(1) swap with src's outbox column (ExchangeMailboxes
     // does no per-message work). This shard's own thread merges the staged
@@ -216,8 +197,6 @@ class ShardedSimulation {
     // window's start (DrainInbox) — both the pre-sort and the queue
     // insertion parallelise instead of serialising on the barrier thread.
     std::vector<OutColumn> staged;
-    std::vector<std::vector<Pending>> staged_pm;
-    std::vector<Routed> inbox;  // per-message drain scratch (capacity reuse)
     std::vector<std::size_t> merge_pos;  // k-way merge cursors (scratch)
     Time window_end = 0.0;  // end of the window this shard is running/ran
     double busy_ns = 0.0;   // window phase wall time, this window
@@ -238,7 +217,6 @@ class ShardedSimulation {
   // Row-major per-pair bounds (empty on the uniform path) and their min.
   std::vector<double> pair_lookahead_;
   double min_lookahead_ms_ = 0.0;
-  bool coalesced_ = true;
   Time now_ = 0.0;  // min over shards of committed time
   std::size_t windows_ = 0;
   std::size_t cross_messages_ = 0;

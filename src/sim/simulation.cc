@@ -55,8 +55,8 @@ bool Simulation::Step() {
 std::size_t Simulation::RunUntil(Time t_end) {
   obs::ScopeTimer timer(run_profile_);
   std::size_t n = 0;
-  // One batched drain instead of a peek+pop virtual round trip per event;
-  // the queue re-arms periodic timers itself on this path.
+  // One batched drain instead of a peek+pop round trip per event; the
+  // queue re-arms periodic timers itself on this path.
   queue_.PopAllUpTo(t_end, [&](EventQueue::Fired& fired) {
     P2P_DCHECK(fired.time >= now_);
     now_ = fired.time;

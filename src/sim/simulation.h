@@ -17,9 +17,7 @@ namespace p2p::sim {
 
 class Simulation {
  public:
-  explicit Simulation(std::uint64_t seed = 1,
-                      SchedulerKind sched = SchedulerKind::kTimingWheel)
-      : queue_(sched), rng_(seed) {
+  explicit Simulation(std::uint64_t seed = 1) : rng_(seed) {
     run_profile_ = &metrics_.profile("event_loop.run_ms");
   }
 

@@ -1,6 +1,6 @@
 // Randomized equivalence: the heap-based fast path of BuildAmcastTree must
-// reproduce the retained linear-scan reference implementation exactly —
-// same tree, same height, same helper count — across many seeded
+// reproduce the linear-scan reference (tests/reference/amcast_ref.h)
+// exactly — same tree, same height, same helper count — across many seeded
 // instances, with and without helper splicing. Plus unit tests for the
 // LatencyMatrix view both paths share.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 
 #include "alm/amcast.h"
 #include "alm/latency_matrix.h"
+#include "reference/amcast_ref.h"
 #include "util/rng.h"
 
 namespace p2p::alm {
@@ -82,7 +83,7 @@ TEST(AmcastEquivalence, MatchesReferenceWithoutHelpers) {
     SCOPED_TRACE(seed);
     const Instance inst = MakeInstance(seed, /*with_helpers=*/false);
     const auto ref =
-        BuildAmcastTreeReference(inst.input, inst.latency, inst.options);
+        amcastref::BuildAmcastTree(inst.input, inst.latency, inst.options);
     const auto fast = BuildAmcastTree(inst.input, inst.latency, inst.options);
     ExpectIdenticalResults(fast, ref);
   }
@@ -93,7 +94,7 @@ TEST(AmcastEquivalence, MatchesReferenceWithHelpers) {
     SCOPED_TRACE(seed);
     const Instance inst = MakeInstance(seed, /*with_helpers=*/true);
     const auto ref =
-        BuildAmcastTreeReference(inst.input, inst.latency, inst.options);
+        amcastref::BuildAmcastTree(inst.input, inst.latency, inst.options);
     const auto fast = BuildAmcastTree(inst.input, inst.latency, inst.options);
     ExpectIdenticalResults(fast, ref);
   }
@@ -111,7 +112,7 @@ TEST(AmcastEquivalence, MatchesReferenceThroughPrebuiltMatrix) {
     const LatencyMatrix matrix(inst.input.degree_bounds.size(), core,
                                inst.input.helper_candidates, inst.latency);
     const auto ref =
-        BuildAmcastTreeReference(inst.input, inst.latency, inst.options);
+        amcastref::BuildAmcastTree(inst.input, inst.latency, inst.options);
     const auto fast = BuildAmcastTree(inst.input, matrix, inst.options);
     ExpectIdenticalResults(fast, ref);
   }

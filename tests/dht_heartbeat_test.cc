@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dht/churn.h"
@@ -163,62 +163,95 @@ TEST(Heartbeat, JoinedNodeStartsBeating) {
   EXPECT_GT(from_new, 0u);
 }
 
-// Batched beat walker (HeartbeatConfig::batch_beats): one self-rescheduling
-// event sweeps the phase-sorted beat row. The pin: every observable — the
-// full delivery trace with timestamps, the failure trace, every counter —
-// is byte-identical to the per-node-timer path, through a crash, a
-// mid-run join, and several beat cycles.
-TEST(Heartbeat, BatchedBeatsMatchPerNodeTimersByteForByte) {
-  struct Trace {
-    std::vector<std::tuple<NodeIndex, NodeIndex, sim::Time, sim::Time>> beats;
-    std::vector<std::tuple<NodeIndex, NodeIndex, sim::Time>> failures;
-    std::size_t sent = 0, delivered = 0, detected = 0;
-  };
-  const auto run = [](bool batch) {
-    Trace t;
-    HeartbeatFixture f(24);
-    HeartbeatConfig cfg;
-    cfg.period_ms = 500.0;
-    cfg.timeout_ms = 1600.0;
-    cfg.batch_beats = batch;
-    HeartbeatProtocol hb(f.sim, f.ring, cfg);
-    hb.AddObserver([&](NodeIndex from, NodeIndex to, sim::Time s,
-                       sim::Time r) { t.beats.emplace_back(from, to, s, r); });
-    hb.AddFailureObserver([&](NodeIndex det, NodeIndex dead, sim::Time when) {
-      t.failures.emplace_back(det, dead, when);
-    });
-    hb.Start();
-    f.sim.RunUntil(1200.0);
-    const NodeIndex joiner = f.ring.JoinHashed(99);
-    hb.OnNodeJoined(joiner);
-    f.sim.RunUntil(2000.0);
-    f.ring.Fail(3);
-    f.sim.RunUntil(8000.0);
-    t.sent = hb.heartbeats_sent();
-    t.delivered = hb.heartbeats_delivered();
-    t.detected = hb.failures_detected();
-    return t;
-  };
-  const Trace a = run(false);
-  const Trace b = run(true);
-  EXPECT_GT(a.beats.size(), 0u);
-  EXPECT_EQ(a.beats, b.beats);
-  EXPECT_EQ(a.failures, b.failures);
-  EXPECT_EQ(a.sent, b.sent);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.detected, b.detected);
+// Beat schedule properties, recorded through the delivery observer: each
+// node beats at `first`, within one period of its start or join, then at
+// first += period with no gaps; nodes due at the same time beat in row
+// (insertion) order; a crashed node sends nothing after the crash. The
+// clock starts at 2^50 ms, where adjacent doubles lie 0.25 ms apart, so
+// random phases within the 2 ms period collide and ties really occur.
+TEST(Heartbeat, BeatsFollowPhasePeriodAndRowOrderThroughCrashAndJoin) {
+  constexpr sim::Time kStart = 1125899906842624.0;  // 2^50 ms
+  constexpr sim::Time kJoin = kStart + 9.0;
+  constexpr sim::Time kCrash = kStart + 17.0;
+  constexpr sim::Time kEnd = kStart + 40.0;
+  constexpr NodeIndex kVictim = 3;
+  constexpr std::size_t kJoinHost = 99;
+  HeartbeatFixture f(24);
+  f.sim.transport().EnablePerHostStats(kJoinHost + 1);
+  HeartbeatConfig cfg;
+  cfg.period_ms = 2.0;
+  cfg.timeout_ms = 7.0;
+  cfg.default_delay_ms = 1.0;  // fixed: delivery order is send order
+  HeartbeatProtocol hb(f.sim, f.ring, cfg);
+  // One entry per delivery: (sender, send time), in delivery order.
+  std::vector<std::pair<NodeIndex, sim::Time>> seen;
+  hb.AddObserver([&](NodeIndex from, NodeIndex, sim::Time send, sim::Time) {
+    seen.emplace_back(from, send);
+  });
+  f.sim.RunUntil(kStart);
+  hb.Start();
+  f.sim.RunUntil(kJoin);
+  const NodeIndex joiner = f.ring.JoinHashed(kJoinHost);
+  hb.OnNodeJoined(joiner);
+  f.sim.RunUntil(kCrash);
+  f.ring.Fail(kVictim);
+  const std::size_t victim_host = f.ring.node(kVictim).host();
+  const std::size_t victim_sent =
+      f.sim.transport().host_stats(victim_host).sent;
+  f.sim.RunUntil(kEnd);
+
+  // A beat's deliveries are contiguous: collapse them to one (node, time).
+  std::vector<std::pair<NodeIndex, sim::Time>> beats;
+  for (const auto& d : seen)
+    if (beats.empty() || beats.back() != d) beats.push_back(d);
+
+  // Row order: Start inserts nodes in index order and the joiner last, so
+  // beats at equal times must come in ascending node index.
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < beats.size(); ++i) {
+    ASSERT_LE(beats[i - 1].second, beats[i].second) << "beat " << i;
+    if (beats[i - 1].second != beats[i].second) continue;
+    ++ties;
+    EXPECT_LT(beats[i - 1].first, beats[i].first) << "beat " << i;
+  }
+  EXPECT_GT(ties, 0u) << "no equal-time beats: the row order went untested";
+
+  // Per node: first within one period of its start, then += period up to
+  // the last beat whose deliveries land by the horizon (or the crash).
+  for (NodeIndex n = 0; n < f.ring.size(); ++n) {
+    std::vector<sim::Time> times;
+    for (const auto& b : beats)
+      if (b.first == n) times.push_back(b.second);
+    ASSERT_FALSE(times.empty()) << "node " << n << " never beat";
+    const sim::Time start = n == joiner ? kJoin : kStart;
+    const sim::Time last_delivery = n == kVictim ? kCrash : kEnd;
+    EXPECT_GE(times.front(), start) << "node " << n;
+    EXPECT_LE(times.front(), start + cfg.period_ms) << "node " << n;
+    std::vector<sim::Time> want;
+    for (sim::Time t = times.front();
+         t + cfg.default_delay_ms <= last_delivery; t += cfg.period_ms)
+      want.push_back(t);
+    EXPECT_EQ(times, want) << "node " << n;
+  }
+
+  // The crashed node sent nothing after the crash.
+  EXPECT_GT(victim_sent, 0u);
+  EXPECT_EQ(f.sim.transport().host_stats(victim_host).sent, victim_sent);
+  EXPECT_EQ(hb.failures_detected(), 1u);
 }
 
-// Stop() must silence the walker path just like it cancels per-node timers.
+// Stop() must also cancel the walker event itself: once the in-flight
+// deliveries land, the queue is empty.
 TEST(Heartbeat, StopCancelsBatchedWalker) {
   HeartbeatFixture f(8);
-  HeartbeatProtocol hb(f.sim, f.ring);  // batch_beats defaults on
+  HeartbeatProtocol hb(f.sim, f.ring);
   hb.Start();
   f.sim.RunUntil(1500.0);
   const std::size_t sent = hb.heartbeats_sent();
   hb.Stop();
   f.sim.RunUntil(10000.0);
   EXPECT_EQ(hb.heartbeats_sent(), sent);
+  EXPECT_EQ(f.sim.pending_events(), 0u);
 }
 
 // ---------------------------------------------------------------- Churn --

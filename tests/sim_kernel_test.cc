@@ -1,25 +1,20 @@
-// Kernel-scale scheduler tests: the timing-wheel backend against the
-// retained binary-heap reference (randomized differential + cascade
-// boundaries), the InlineFn small-buffer callable, first-class periodic
-// timers, and end-to-end A/B determinism of full protocol runs across the
-// two scheduler backends.
+// Kernel-scale scheduler tests: the timing wheel against a minimal
+// ordered-set model of the queue contract (randomized differential +
+// cascade boundaries), the InlineFn small-buffer callable, first-class
+// periodic timers, batched drains and slab trimming.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
+#include <cmath>
 #include <limits>
 #include <memory>
-#include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "dht/heartbeat.h"
-#include "dht/ring.h"
+#include "reference/event_queue_ref.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
-#include "sim/trace.h"
-#include "sim/transport.h"
-#include "somo/somo.h"
 #include "util/check.h"
 #include "util/inline_fn.h"
 #include "util/rng.h"
@@ -86,22 +81,19 @@ TEST(InlineFn, MoveAssignDestroysPreviousTarget) {
 // ------------------------------------------- Schedule argument hardening --
 
 TEST(EventQueueKernel, RejectsNonFiniteTimes) {
-  for (const SchedulerKind kind :
-       {SchedulerKind::kTimingWheel, SchedulerKind::kBinaryHeap}) {
-    EventQueue q(kind);
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    const double inf = std::numeric_limits<double>::infinity();
-    EXPECT_THROW(q.Schedule(nan, [] {}), util::CheckError);
-    EXPECT_THROW(q.Schedule(inf, [] {}), util::CheckError);
-    EXPECT_THROW(q.Schedule(-inf, [] {}), util::CheckError);
-    EXPECT_THROW(q.Schedule(-1.0, [] {}), util::CheckError);
-    EXPECT_THROW(q.SchedulePeriodic(nan, 10.0, [] {}), util::CheckError);
-    EXPECT_THROW(q.SchedulePeriodic(0.0, 0.0, [] {}), util::CheckError);
-    EXPECT_THROW(q.SchedulePeriodic(0.0, -5.0, [] {}), util::CheckError);
-    EXPECT_THROW(q.SchedulePeriodic(0.0, inf, [] {}), util::CheckError);
-    EXPECT_TRUE(q.empty()) << "rejected schedules must not leak events";
-    EXPECT_EQ(q.heap_footprint(), 0u);
-  }
+  EventQueue q;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(q.Schedule(nan, [] {}), util::CheckError);
+  EXPECT_THROW(q.Schedule(inf, [] {}), util::CheckError);
+  EXPECT_THROW(q.Schedule(-inf, [] {}), util::CheckError);
+  EXPECT_THROW(q.Schedule(-1.0, [] {}), util::CheckError);
+  EXPECT_THROW(q.SchedulePeriodic(nan, 10.0, [] {}), util::CheckError);
+  EXPECT_THROW(q.SchedulePeriodic(0.0, 0.0, [] {}), util::CheckError);
+  EXPECT_THROW(q.SchedulePeriodic(0.0, -5.0, [] {}), util::CheckError);
+  EXPECT_THROW(q.SchedulePeriodic(0.0, inf, [] {}), util::CheckError);
+  EXPECT_TRUE(q.empty()) << "rejected schedules must not leak events";
+  EXPECT_EQ(q.heap_footprint(), 0u);
 }
 
 TEST(EventQueueKernel, RearmRejectsNonFiniteTimes) {
@@ -121,98 +113,86 @@ TEST(EventQueueKernel, RearmRejectsNonFiniteTimes) {
 // horizon, then the overflow heap) must still pop in exact (time, seq)
 // order.
 TEST(EventQueueKernel, CascadeBoundaryTimesPopInOrder) {
-  for (const SchedulerKind kind :
-       {SchedulerKind::kTimingWheel, SchedulerKind::kBinaryHeap}) {
-    EventQueue q(kind);
-    const std::vector<double> times = {
-        0.0,        0.25,        255.0,       255.999,     256.0,
-        256.001,    511.5,       512.0,       65535.5,     65536.0,
-        65536.25,   131071.9,    131072.0,    16777215.9,  16777216.0,
-        16777217.5, 33554432.0,  1.0e8,       4.2e9,       1.0e12,
-        5.0e15,     1.0e16,      1.0e16,      9.0e17};
-    // Schedule in a scrambled order so placement exercises every level.
-    std::vector<std::size_t> order(times.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    util::Rng rng(7);
-    rng.Shuffle(order);
-    std::vector<double> popped;
-    for (const std::size_t i : order) {
-      q.Schedule(times[i], [] {});
-    }
-    while (!q.empty()) {
-      EXPECT_DOUBLE_EQ(q.PeekTime(), q.PeekTime());
-      auto fired = q.Pop();
-      popped.push_back(fired.time);
-    }
-    std::vector<double> expected = times;
-    std::sort(expected.begin(), expected.end());
-    ASSERT_EQ(popped.size(), expected.size()) << "kind=" << static_cast<int>(kind);
-    for (std::size_t i = 0; i < popped.size(); ++i)
-      EXPECT_DOUBLE_EQ(popped[i], expected[i]) << "i=" << i;
+  EventQueue q;
+  const std::vector<double> times = {
+      0.0,        0.25,        255.0,       255.999,     256.0,
+      256.001,    511.5,       512.0,       65535.5,     65536.0,
+      65536.25,   131071.9,    131072.0,    16777215.9,  16777216.0,
+      16777217.5, 33554432.0,  1.0e8,       4.2e9,       1.0e12,
+      5.0e15,     1.0e16,      1.0e16,      9.0e17};
+  // Schedule in a scrambled order so placement exercises every level.
+  std::vector<std::size_t> order(times.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  util::Rng rng(7);
+  rng.Shuffle(order);
+  std::vector<double> popped;
+  for (const std::size_t i : order) {
+    q.Schedule(times[i], [] {});
   }
+  while (!q.empty()) {
+    EXPECT_DOUBLE_EQ(q.PeekTime(), q.PeekTime());
+    auto fired = q.Pop();
+    popped.push_back(fired.time);
+  }
+  std::vector<double> expected = times;
+  std::sort(expected.begin(), expected.end());
+  ASSERT_EQ(popped.size(), expected.size());
+  for (std::size_t i = 0; i < popped.size(); ++i)
+    EXPECT_DOUBLE_EQ(popped[i], expected[i]) << "i=" << i;
 }
 
 TEST(EventQueueKernel, SameTickBurstKeepsFifoOrder) {
-  for (const SchedulerKind kind :
-       {SchedulerKind::kTimingWheel, SchedulerKind::kBinaryHeap}) {
-    EventQueue q(kind);
-    std::vector<int> log;
-    // 100 events at the same sub-millisecond time: FIFO by seq.
-    for (int i = 0; i < 100; ++i) {
-      q.Schedule(1000.5, [&log, i] { log.push_back(i); });
-    }
-    while (!q.empty()) q.Pop().cb();
-    ASSERT_EQ(log.size(), 100u);
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(log[i], i);
+  EventQueue q;
+  std::vector<int> log;
+  // 100 events at the same sub-millisecond time: FIFO by seq.
+  for (int i = 0; i < 100; ++i) {
+    q.Schedule(1000.5, [&log, i] { log.push_back(i); });
   }
+  while (!q.empty()) q.Pop().cb();
+  ASSERT_EQ(log.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(log[i], i);
 }
 
 // Events scheduled at the tick currently being served must pop before
 // later entries of the same tick — the due-list insert path.
 TEST(EventQueueKernel, ArrivalsDuringServedTickSlotInByTime) {
-  for (const SchedulerKind kind :
-       {SchedulerKind::kTimingWheel, SchedulerKind::kBinaryHeap}) {
-    EventQueue q(kind);
-    q.Schedule(100.2, [] {});
-    q.Schedule(100.8, [] {});
-    auto first = q.Pop();
-    EXPECT_DOUBLE_EQ(first.time, 100.2);
-    // Same tick (100), between the two pending times.
-    q.Schedule(100.5, [] {});
-    // Same tick, same time as a pending event: FIFO puts it after.
-    q.Schedule(100.8, [] {});
-    EXPECT_DOUBLE_EQ(q.Pop().time, 100.5);
-    EXPECT_DOUBLE_EQ(q.Pop().time, 100.8);
-    EXPECT_DOUBLE_EQ(q.Pop().time, 100.8);
-    EXPECT_TRUE(q.empty());
-  }
+  EventQueue q;
+  q.Schedule(100.2, [] {});
+  q.Schedule(100.8, [] {});
+  auto first = q.Pop();
+  EXPECT_DOUBLE_EQ(first.time, 100.2);
+  // Same tick (100), between the two pending times.
+  q.Schedule(100.5, [] {});
+  // Same tick, same time as a pending event: FIFO puts it after.
+  q.Schedule(100.8, [] {});
+  EXPECT_DOUBLE_EQ(q.Pop().time, 100.5);
+  EXPECT_DOUBLE_EQ(q.Pop().time, 100.8);
+  EXPECT_DOUBLE_EQ(q.Pop().time, 100.8);
+  EXPECT_TRUE(q.empty());
 }
 
 // ------------------------------------------------------ periodic timers --
 
 TEST(EventQueueKernel, PeriodicFiresAndRearmsInPlace) {
-  for (const SchedulerKind kind :
-       {SchedulerKind::kTimingWheel, SchedulerKind::kBinaryHeap}) {
-    EventQueue q(kind);
-    int fires = 0;
-    const EventId id = q.SchedulePeriodic(10.0, 25.0, [&fires] { ++fires; });
-    std::vector<double> fire_times;
-    for (int i = 0; i < 4; ++i) {
-      auto fired = q.Pop();
-      ASSERT_TRUE(fired.is_periodic());
-      EXPECT_EQ(fired.id, id);
-      fire_times.push_back(fired.time);
-      (*fired.periodic)();
-      EXPECT_TRUE(q.FinishPeriodic(fired.id));
-    }
-    EXPECT_EQ(fires, 4);
-    EXPECT_EQ(q.size(), 1u) << "one record for the timer's whole lifetime";
-    const std::vector<double> want = {10.0, 35.0, 60.0, 85.0};
-    for (std::size_t i = 0; i < want.size(); ++i)
-      EXPECT_DOUBLE_EQ(fire_times[i], want[i]);
-    EXPECT_TRUE(q.Cancel(id));
-    EXPECT_TRUE(q.empty());
+  EventQueue q;
+  int fires = 0;
+  const EventId id = q.SchedulePeriodic(10.0, 25.0, [&fires] { ++fires; });
+  std::vector<double> fire_times;
+  for (int i = 0; i < 4; ++i) {
+    auto fired = q.Pop();
+    ASSERT_TRUE(fired.is_periodic());
+    EXPECT_EQ(fired.id, id);
+    fire_times.push_back(fired.time);
+    (*fired.periodic)();
+    EXPECT_TRUE(q.FinishPeriodic(fired.id));
   }
+  EXPECT_EQ(fires, 4);
+  EXPECT_EQ(q.size(), 1u) << "one record for the timer's whole lifetime";
+  const std::vector<double> want = {10.0, 35.0, 60.0, 85.0};
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_DOUBLE_EQ(fire_times[i], want[i]);
+  EXPECT_TRUE(q.Cancel(id));
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueKernel, RearmMovesDeadlineWithoutCancel) {
@@ -283,21 +263,25 @@ TEST(EventQueueKernel, StaleIdsNeverCancelTheSlotsNextTenant) {
 
 // -------------------------------------------- randomized differential --
 
-// The wheel and the reference heap must agree on every observable: pop
-// order, event ids, Cancel/Rearm return values, sizes. Drives both through
-// an identical randomized schedule/cancel/rearm/pop workload, including
-// same-tick bursts, far-future times beyond the wheel horizon, periodic
-// timers, and pops interleaved with mutation.
-TEST(EventQueueKernel, RandomizedDifferentialWheelVsHeap) {
-  EventQueue wheel(SchedulerKind::kTimingWheel);
-  EventQueue heap(SchedulerKind::kBinaryHeap);
+// The wheel and the ordered-set model (tests/reference/event_queue_ref.h)
+// must agree on every observable: pop order by handle, Cancel/Rearm/
+// FinishPeriodic results, sizes. Drives both through an identical
+// randomized schedule/cancel/rearm/pop/drain workload, including same-tick
+// bursts, far-future times beyond the wheel horizon, periodic timers,
+// stale handles, and pops interleaved with mutation.
+TEST(EventQueueKernel, RandomizedDifferentialWheelVsModel) {
+  using Model = eventqref::EventQueueModel;
+  EventQueue wheel;
+  Model model;
   util::Rng rng(0xC0FFEE);
   double now = 0.0;
-  std::vector<EventId> live;       // same for both queues by construction
-  std::vector<EventId> periodics;  // subset of live needing FinishPeriodic
+  std::vector<EventId> id_of;  // model handle -> wheel id
+  std::unordered_map<EventId, Model::Handle> handle_of;
+  std::vector<Model::Handle> live;       // handles not yet known dead
+  std::vector<Model::Handle> periodics;  // subset of live needing a stop
 
   const auto random_delay = [&]() -> double {
-    switch (rng.UniformInt(0, 4)) {
+    switch (rng.UniformInt(0, 5)) {
       case 0:
         return rng.Uniform(0.0, 2.0);        // same/next tick
       case 1:
@@ -306,81 +290,122 @@ TEST(EventQueueKernel, RandomizedDifferentialWheelVsHeap) {
         return rng.Uniform(0.0, 70000.0);    // level 1/2
       case 3:
         return rng.Uniform(0.0, 2.0e7);      // level 2 + overflow
+      case 4:
+        return std::floor(rng.Uniform(0.0, 8.0));  // exact time ties
       default:
         return 1.0e16 + rng.Uniform(0.0, 1.0);  // beyond-horizon sentinel
     }
   };
+  const auto track = [&](EventId id, Model::Handle h) {
+    ASSERT_EQ(h, id_of.size());
+    id_of.push_back(id);
+    handle_of.emplace(id, h);
+    live.push_back(h);
+  };
+  // Live handles mostly; now and then any handle ever issued, so stale
+  // ids exercise the false paths of Cancel and Rearm.
+  const auto pick = [&]() -> Model::Handle {
+    if (live.empty() || rng.UniformInt(0, 7) == 0)
+      return static_cast<Model::Handle>(rng.UniformInt(0, id_of.size() - 1));
+    return live[static_cast<std::size_t>(rng.UniformInt(0, live.size() - 1))];
+  };
+  const auto forget = [&](Model::Handle h) {
+    std::erase(live, h);
+    std::erase(periodics, h);
+  };
 
   for (int step = 0; step < 20000; ++step) {
-    const int op = static_cast<int>(rng.UniformInt(0, 9));
+    const int op = static_cast<int>(rng.UniformInt(0, 10));
     if (op <= 3) {  // schedule one-shot
       const double t = now + random_delay();
-      const EventId wid = wheel.Schedule(t, [] {});
-      const EventId hid = heap.Schedule(t, [] {});
-      ASSERT_EQ(wid, hid);
-      live.push_back(wid);
+      track(wheel.Schedule(t, [] {}), model.Schedule(t));
     } else if (op == 4) {  // schedule periodic
       const double t = now + rng.Uniform(0.0, 5000.0);
       const double period = rng.Uniform(0.5, 10000.0);
-      const EventId wid = wheel.SchedulePeriodic(t, period, [] {});
-      const EventId hid = heap.SchedulePeriodic(t, period, [] {});
-      ASSERT_EQ(wid, hid);
-      live.push_back(wid);
-      periodics.push_back(wid);
-    } else if (op == 5 && !live.empty()) {  // cancel (possibly stale id)
-      const std::size_t k =
-          static_cast<std::size_t>(rng.UniformInt(0, live.size() - 1));
-      const EventId id = live[k];
-      const bool wc = wheel.Cancel(id);
-      const bool hc = heap.Cancel(id);
-      ASSERT_EQ(wc, hc);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
-      std::erase(periodics, id);
-    } else if (op == 6 && !live.empty()) {  // rearm (possibly stale id)
-      const std::size_t k =
-          static_cast<std::size_t>(rng.UniformInt(0, live.size() - 1));
+      track(wheel.SchedulePeriodic(t, period, [] {}),
+            model.SchedulePeriodic(t, period));
+      periodics.push_back(id_of.size() - 1);
+    } else if (op == 5 && !id_of.empty()) {  // cancel
+      const Model::Handle h = pick();
+      ASSERT_EQ(wheel.Cancel(id_of[h]), model.Cancel(h)) << "handle " << h;
+      forget(h);
+    } else if (op == 6 && !id_of.empty()) {  // rearm
+      const Model::Handle h = pick();
       const double t = now + random_delay();
-      ASSERT_EQ(wheel.Rearm(live[k], t), heap.Rearm(live[k], t));
+      ASSERT_EQ(wheel.Rearm(id_of[h], t), model.Rearm(h, t)) << "handle " << h;
+    } else if (op == 7 && !wheel.empty()) {  // batched drain of a short window
+      const double t_end = now + rng.Uniform(0.0, 50.0);
+      std::vector<std::pair<double, Model::Handle>> drained;
+      wheel.PopAllUpTo(t_end, [&](EventQueue::Fired& f) {
+        drained.emplace_back(f.time, handle_of.at(f.id));
+      });
+      std::size_t k = 0;
+      while (!model.empty() && model.PeekTime() <= t_end) {
+        const Model::Fired mf = model.Pop();
+        ASSERT_LT(k, drained.size());
+        ASSERT_EQ(drained[k].second, mf.handle) << "drain position " << k;
+        ASSERT_EQ(drained[k].first, mf.time);
+        ++k;
+        if (mf.periodic) {
+          ASSERT_TRUE(model.FinishPeriodic(mf.handle));
+        } else {
+          forget(mf.handle);
+        }
+      }
+      ASSERT_EQ(k, drained.size());
+      if (!drained.empty()) now = drained.back().first;
     } else {  // pop a few events
       const int pops = static_cast<int>(rng.UniformInt(1, 4));
       for (int p = 0; p < pops && !wheel.empty(); ++p) {
-        ASSERT_FALSE(heap.empty());
-        ASSERT_DOUBLE_EQ(wheel.PeekTime(), heap.PeekTime());
+        ASSERT_FALSE(model.empty());
+        ASSERT_EQ(wheel.PeekTime(), model.PeekTime());
         auto wf = wheel.Pop();
-        auto hf = heap.Pop();
-        ASSERT_DOUBLE_EQ(wf.time, hf.time);
-        ASSERT_EQ(wf.id, hf.id);
-        ASSERT_EQ(wf.is_periodic(), hf.is_periodic());
+        const Model::Fired mf = model.Pop();
+        ASSERT_EQ(handle_of.at(wf.id), mf.handle);
+        ASSERT_EQ(wf.time, mf.time);
+        ASSERT_EQ(wf.is_periodic(), mf.periodic);
         ASSERT_GE(wf.time, now);
         now = wf.time;
         if (wf.is_periodic()) {
-          ASSERT_EQ(wheel.FinishPeriodic(wf.id), heap.FinishPeriodic(hf.id));
+          // Sometimes stop or move the timer from inside its own firing.
+          const int inside = static_cast<int>(rng.UniformInt(0, 9));
+          if (inside == 0) {
+            ASSERT_EQ(wheel.Cancel(wf.id), model.Cancel(mf.handle));
+            forget(mf.handle);
+          } else if (inside == 1) {
+            const double t = now + random_delay();
+            ASSERT_EQ(wheel.Rearm(wf.id, t), model.Rearm(mf.handle, t));
+          }
+          ASSERT_EQ(wheel.FinishPeriodic(wf.id),
+                    model.FinishPeriodic(mf.handle));
         } else {
-          std::erase(live, wf.id);
+          forget(mf.handle);
         }
       }
     }
-    ASSERT_EQ(wheel.size(), heap.size());
+    ASSERT_EQ(wheel.size(), model.size());
+    ASSERT_EQ(wheel.empty(), model.empty());
+    ASSERT_LE(wheel.heap_footprint(), 2 * wheel.size() + 1);
   }
 
   // Stop periodic timers so the drain below terminates.
-  for (const EventId id : periodics) {
-    ASSERT_EQ(wheel.Cancel(id), heap.Cancel(id));
+  for (const Model::Handle h : periodics) {
+    ASSERT_EQ(wheel.Cancel(id_of[h]), model.Cancel(h));
   }
   while (!wheel.empty()) {
-    ASSERT_FALSE(heap.empty());
+    ASSERT_FALSE(model.empty());
     auto wf = wheel.Pop();
-    auto hf = heap.Pop();
-    ASSERT_DOUBLE_EQ(wf.time, hf.time);
-    ASSERT_EQ(wf.id, hf.id);
+    const Model::Fired mf = model.Pop();
+    ASSERT_EQ(handle_of.at(wf.id), mf.handle);
+    ASSERT_EQ(wf.time, mf.time);
   }
-  EXPECT_TRUE(heap.empty());
+  EXPECT_TRUE(model.empty());
 }
 
-// Eager cancellation in wheel buckets must keep the footprint bound that
-// the reference heap achieves by compaction.
+// Eager cancellation in wheel buckets must keep the footprint within
+// 2 * live + 1 under cancel-heavy churn.
 TEST(EventQueueKernel, WheelFootprintStaysBoundedUnderChurn) {
-  EventQueue q(SchedulerKind::kTimingWheel);
+  EventQueue q;
   util::Rng rng(99);
   std::vector<EventId> ids;
   for (int round = 0; round < 200; ++round) {
@@ -394,151 +419,6 @@ TEST(EventQueueKernel, WheelFootprintStaysBoundedUnderChurn) {
     }
     ASSERT_LE(q.heap_footprint(), 2 * q.size() + 1);
   }
-}
-
-// ------------------------------------------------- Simulation-level A/B --
-
-struct SimRunLog {
-  std::vector<double> events;  // interleaved (tag, virtual time) stream
-  std::string metrics_json;
-  std::string trace_text;
-  std::size_t fired = 0;
-};
-
-// A protocol-shaped workload on the raw Simulation API: periodic timers
-// with distinct phases, self-rescheduling one-shots, transport traffic
-// with loss + jitter fault injection (consuming RNG), and a mid-run
-// CancelPeriodic. Everything observable is logged.
-SimRunLog RunKernelWorkload(SchedulerKind kind) {
-  SimRunLog log;
-  Simulation sim(4242, kind);
-  sim.EnableMetrics();
-  TraceSink trace;
-  sim.transport().set_trace(&trace);
-  sim.transport().faults().loss_probability = 0.05;
-  sim.transport().faults().jitter_ms = 3.0;
-
-  std::vector<Simulation::PeriodicToken> timers;
-  for (int i = 0; i < 8; ++i) {
-    const double period = 40.0 + 13.0 * i;
-    const double phase = sim.rng().Uniform(0.0, period);
-    timers.push_back(sim.Every(period, phase, [&log, &sim, i] {
-      log.events.push_back(100.0 + i);
-      log.events.push_back(sim.now());
-      Message m;
-      m.src_host = static_cast<std::size_t>(i);
-      m.dst_host = static_cast<std::size_t>((i + 1) % 8);
-      m.protocol = Protocol::kOther;
-      m.bytes = 64;
-      sim.transport().Send(m, [&log, &sim] {
-        log.events.push_back(1.0);
-        log.events.push_back(sim.now());
-      });
-    }));
-  }
-  // Self-rescheduling chain with RNG-dependent gaps.
-  struct Chain {
-    Simulation& sim;
-    SimRunLog& log;
-    void operator()() {
-      log.events.push_back(2.0);
-      log.events.push_back(sim.now());
-      if (sim.now() < 4500.0) sim.After(sim.rng().Uniform(1.0, 90.0), Chain{sim, log});
-    }
-  };
-  sim.After(5.0, Chain{sim, log});
-  // Stop half the periodic timers mid-run.
-  sim.At(2500.0, [&timers] {
-    for (std::size_t i = 0; i < timers.size(); i += 2)
-      Simulation::CancelPeriodic(timers[i]);
-  });
-
-  sim.RunUntil(5000.0);
-  log.fired = sim.fired_events();
-  log.metrics_json = sim.metrics().SnapshotJson();
-
-  std::FILE* f = std::tmpfile();
-  P2P_CHECK(f != nullptr);
-  trace.WriteText(f);
-  std::rewind(f);
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-    log.trace_text.append(buf, n);
-  std::fclose(f);
-  return log;
-}
-
-TEST(SchedulerAB, KernelWorkloadIsByteIdenticalAcrossBackends) {
-  const SimRunLog wheel = RunKernelWorkload(SchedulerKind::kTimingWheel);
-  const SimRunLog heap = RunKernelWorkload(SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(wheel.fired, heap.fired);
-  ASSERT_EQ(wheel.events.size(), heap.events.size());
-  for (std::size_t i = 0; i < wheel.events.size(); ++i)
-    ASSERT_DOUBLE_EQ(wheel.events[i], heap.events[i]) << "i=" << i;
-  EXPECT_EQ(wheel.metrics_json, heap.metrics_json);
-  EXPECT_EQ(wheel.trace_text, heap.trace_text);
-}
-
-// Full protocol stack A/B: DHT heartbeats + SOMO gather/disseminate over
-// the shared transport. Same seed, different scheduler backend — metric
-// snapshots and traces must match byte for byte.
-struct StackRunLog {
-  std::string metrics_json;
-  std::string trace_text;
-  std::size_t fired = 0;
-};
-
-StackRunLog RunProtocolStack(SchedulerKind kind) {
-  StackRunLog log;
-  Simulation sim(321, kind);
-  sim.EnableMetrics();
-  TraceSink trace;
-  sim.transport().set_trace(&trace);
-  sim.transport().faults().jitter_ms = 2.0;
-
-  dht::Ring ring(8);
-  for (std::size_t i = 0; i < 24; ++i) ring.JoinHashed(i);
-  ring.StabilizeAll();
-
-  dht::HeartbeatProtocol hb(sim, ring);
-  hb.Start();
-
-  somo::SomoConfig cfg;
-  cfg.report_interval_ms = 1000.0;
-  cfg.disseminate = true;
-  somo::SomoProtocol somo(sim, ring, cfg, [&](dht::NodeIndex n) {
-    somo::NodeReport r;
-    r.node = n;
-    r.host = ring.node(n).host();
-    r.generated_at = sim.now();
-    r.degrees.total = 4;
-    return r;
-  });
-  somo.Start();
-
-  sim.RunUntil(15000.0);
-  log.fired = sim.fired_events();
-  log.metrics_json = sim.metrics().SnapshotJson();
-
-  std::FILE* f = std::tmpfile();
-  P2P_CHECK(f != nullptr);
-  trace.WriteText(f);
-  std::rewind(f);
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-    log.trace_text.append(buf, n);
-  std::fclose(f);
-  return log;
-}
-
-TEST(SchedulerAB, ProtocolStackIsByteIdenticalAcrossBackends) {
-  const StackRunLog wheel = RunProtocolStack(SchedulerKind::kTimingWheel);
-  const StackRunLog heap = RunProtocolStack(SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(wheel.fired, heap.fired);
-  EXPECT_EQ(wheel.metrics_json, heap.metrics_json);
-  EXPECT_EQ(wheel.trace_text, heap.trace_text);
 }
 
 // ------------------------------------------------- PopAllUpTo batching --
@@ -559,9 +439,9 @@ void ScheduleChain(EventQueue& q, Time t, int depth,
 // Mixed workload driven either by the classic peek/pop/FinishPeriodic loop
 // or by PopAllUpTo, across several windows (including an empty one and a
 // boundary-exact event). Returns the (time, tag) firing log, which must be
-// identical across drivers and backends.
-std::vector<FireEntry> DriveBatchWorkload(SchedulerKind kind, bool batched) {
-  EventQueue q(kind);
+// identical across drivers.
+std::vector<FireEntry> DriveBatchWorkload(bool batched) {
+  EventQueue q;
   std::vector<FireEntry> log;
   util::Rng rng(2026);
   // Victims for mid-window cancel/rearm exercised below.
@@ -617,19 +497,15 @@ std::vector<FireEntry> DriveBatchWorkload(SchedulerKind kind, bool batched) {
   return log;
 }
 
-TEST(EventQueueKernel, PopAllUpToMatchesStepLoopOnBothBackends) {
-  const auto step_wheel = DriveBatchWorkload(SchedulerKind::kTimingWheel, false);
-  const auto batch_wheel = DriveBatchWorkload(SchedulerKind::kTimingWheel, true);
-  const auto step_heap = DriveBatchWorkload(SchedulerKind::kBinaryHeap, false);
-  const auto batch_heap = DriveBatchWorkload(SchedulerKind::kBinaryHeap, true);
-  EXPECT_FALSE(step_wheel.empty());
-  EXPECT_EQ(step_wheel, batch_wheel);
-  EXPECT_EQ(step_wheel, step_heap);
-  EXPECT_EQ(step_wheel, batch_heap);
+TEST(EventQueueKernel, PopAllUpToMatchesStepLoop) {
+  const auto step = DriveBatchWorkload(false);
+  const auto batch = DriveBatchWorkload(true);
+  EXPECT_FALSE(step.empty());
+  EXPECT_EQ(step, batch);
 }
 
 TEST(EventQueueKernel, PopAllUpToReportsPeriodicsAndRearmsThem) {
-  EventQueue q(SchedulerKind::kTimingWheel);
+  EventQueue q;
   int fired = 0;
   const EventId id = q.SchedulePeriodic(10.0, 100.0, [&fired] { ++fired; });
   q.PopAllUpTo(500.0, [&](EventQueue::Fired& f) {
@@ -645,7 +521,7 @@ TEST(EventQueueKernel, PopAllUpToReportsPeriodicsAndRearmsThem) {
 // ------------------------------------------------------------ slab trim --
 
 TEST(EventQueueKernel, SlabTrimsAfterBurstDrains) {
-  EventQueue q(SchedulerKind::kTimingWheel);
+  EventQueue q;
   constexpr std::size_t kBurst = 50000;
   for (std::size_t i = 0; i < kBurst; ++i) {
     q.Schedule(static_cast<Time>(i + 1), [] {});
@@ -683,7 +559,7 @@ TEST(EventQueueKernel, LongRunFootprintStaysBoundedAcrossBursts) {
 }
 
 TEST(EventQueueKernel, StaleIdAfterTrimCannotCancelRegrownSlot) {
-  EventQueue q(SchedulerKind::kTimingWheel);
+  EventQueue q;
   constexpr std::size_t kCount = 6000;
   std::vector<EventId> first;
   first.reserve(kCount);

@@ -5,10 +5,10 @@
 //  * mailbox exchange in the canonical (time, src_shard, seq) order and the
 //    per-message lookahead CHECK,
 //  * the 1-shard differential against the serial kernel (event count,
-//    metrics snapshot, trace bytes — the SchedulerAB methodology),
+//    metrics snapshot, trace bytes),
 //  * same-seed multi-shard byte-identity, independent of the thread count,
-//  * the coalesced-vs-per-message exchange differential and its edge cases
-//    (empty outboxes, one active pair, everything in one window),
+//  * exchange edge cases (empty outboxes, one active pair, everything in
+//    one window),
 //  * per-pair lookahead matrices: byte-identity against the fixed-window
 //    baseline with fewer barriers, per-message rejection of unsound
 //    entries, and ExtractLookahead's exactness/soundness against the
@@ -236,12 +236,11 @@ std::string ReadAll(std::FILE* f) {
   return out;
 }
 
-// The SchedulerAB protocol-stack workload, restricted to the
-// shard-compatible configuration (unsynchronised SOMO gather, no
-// dissemination): DHT heartbeats + SOMO over the shared transport with
-// jitter fault injection. `sharded` runs it on a 1-shard ShardedSimulation
-// with BindShard wired (the bound single-instance path must equal the
-// unbound serial path byte for byte).
+// A protocol-stack workload in the shard-compatible configuration
+// (unsynchronised SOMO gather, no dissemination): DHT heartbeats + SOMO
+// over the shared transport with jitter fault injection. `sharded` runs it
+// on a 1-shard ShardedSimulation with BindShard wired (the bound
+// single-instance path must equal the unbound serial path byte for byte).
 StackRunLog RunStack(bool sharded) {
   constexpr std::uint64_t kSeed = 321;
   constexpr std::size_t kHosts = 24;
@@ -328,7 +327,6 @@ struct ShardedRunLog {
 // lookahead; empty = the uniform 10 ms path) whose entries stay below
 // the 50 ms heartbeat floor.
 ShardedRunLog RunTwoShards(std::uint64_t seed, std::size_t threads,
-                           bool coalesced = true,
                            std::vector<double> matrix = {}) {
   constexpr std::size_t kHosts = 24;
   ShardedRunLog log;
@@ -339,7 +337,6 @@ ShardedRunLog RunTwoShards(std::uint64_t seed, std::size_t threads,
   opts.lookahead_matrix = std::move(matrix);
   opts.seed = seed;
   opts.threads = threads;
-  opts.coalesced_exchange = coalesced;
   ShardedSimulation ssim(opts);
   std::vector<std::uint32_t> shard_of_host(kHosts);
   for (std::size_t h = 0; h < kHosts; ++h)
@@ -426,22 +423,6 @@ TEST(ShardDeterminism, DifferentSeedsDiverge) {
 
 // -------------------------------------------------------- ShardExchange --
 
-TEST(ShardExchange, PerMessagePathMatchesCoalescedByteForByte) {
-  // The retained concatenate+stable_sort drain and the coalesced SoA
-  // k-way-merge drain must produce identical schedules — every counter,
-  // every window, every delivery.
-  const ShardedRunLog coalesced =
-      RunTwoShards(99, /*threads=*/2, /*coalesced=*/true);
-  const ShardedRunLog per_message =
-      RunTwoShards(99, /*threads=*/2, /*coalesced=*/false);
-  EXPECT_GT(coalesced.cross, 0u);
-  EXPECT_EQ(coalesced.fired, per_message.fired);
-  EXPECT_EQ(coalesced.windows, per_message.windows);
-  EXPECT_EQ(coalesced.cross, per_message.cross);
-  EXPECT_EQ(coalesced.merged_json, per_message.merged_json);
-  EXPECT_EQ(coalesced.shard_json, per_message.shard_json);
-}
-
 TEST(ShardExchange, LocalOnlyWindowsExchangeNothing) {
   // Every outbox column stays empty: the barrier must cope with windows
   // that move no messages at all and still advance virtual time.
@@ -522,7 +503,7 @@ TEST(ShardLookaheadMatrix, MatrixRunMatchesFixedRunWithFewerWindows) {
   // advancing in fewer, larger windows — the tentpole's whole point.
   const ShardedRunLog fixed = RunTwoShards(99, /*threads=*/2);
   const ShardedRunLog matrix =
-      RunTwoShards(99, /*threads=*/2, /*coalesced=*/true, {0.0, 30.0, 15.0, 0.0});
+      RunTwoShards(99, /*threads=*/2, {0.0, 30.0, 15.0, 0.0});
   EXPECT_EQ(fixed.fired, matrix.fired);
   EXPECT_EQ(fixed.cross, matrix.cross);
   EXPECT_EQ(fixed.merged_json, matrix.merged_json);
@@ -536,7 +517,7 @@ TEST(ShardLookaheadMatrix, UnsoundMatrixEntryIsRejectedPerMessage) {
   // An overclaimed pair bound (60 ms > the true 50 ms heartbeat delay)
   // must trip the per-message extraction validation, not deliver late.
   EXPECT_THROW(
-      RunTwoShards(99, /*threads=*/1, /*coalesced=*/true, {0.0, 60.0, 60.0, 0.0}),
+      RunTwoShards(99, /*threads=*/1, {0.0, 60.0, 60.0, 0.0}),
       util::CheckError);
 }
 

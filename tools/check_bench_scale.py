@@ -7,12 +7,12 @@ google-benchmark JSON (what bench_to_json writes to BENCH_alm.json).
 
 p2pkernelbench/v1 — bench_kernel drives an identical synthetic protocol
 mix (heartbeats, SOMO reports, transport deliveries, failure-timeout
-rearm churn) through the timing-wheel EventQueue, the retained heap
-backend, and a bench-local copy of the pre-wheel queue, at 1.2k/5k/10k
-hosts. Checks:
+rearm churn) through the timing-wheel EventQueue, stepped and batched,
+at 1.2k/5k/10k hosts. Checks:
 
-  1. Throughput: at the largest scale, the legacy : wheel ns/event ratio
-     must be at least --min-speedup (default 3.0).
+  1. (Retired.) The legacy : wheel speedup floor read the pre-wheel
+     queue's column, which bench_kernel no longer runs; the historical
+     rows are frozen in docs/KERNEL.md.
   2. Flat memory: the wheel's peak structure footprint stays within
      2 * peak_live + 1 at every scale (no garbage accumulation).
   3. Regression (when a baseline JSON is given): wheel ns/event at the
@@ -75,7 +75,7 @@ Exit 0 when every check passes, 1 otherwise (the caller treats failure as
 a warning — benchmark noise should not fail a build).
 
 Usage: check_bench_scale.py NEW.json [BASELINE.json]
-           [--min-speedup 3.0] [--min-shard-speedup 2.5]
+           [--min-shard-speedup 2.5]
            [--max-regression 1.5]
            [--min-mem-reduction 5.0] [--max-query-ratio 2.0]
            [--max-plan-regression 1.1]
@@ -121,15 +121,6 @@ def check_kernel(data, args):
             failures += 1
 
     top = max(scales, key=lambda sc: sc["hosts"])
-    speedup = top["speedup_legacy_over_wheel"]
-    status = "ok" if speedup >= args.min_speedup else "FAIL"
-    print(
-        f"{status:>4}  {top['hosts']} hosts: legacy/wheel speedup "
-        f"{speedup:.2f}x (floor {args.min_speedup:.1f}x)"
-    )
-    if status == "FAIL":
-        failures += 1
-
     if args.baseline_json:
         base_schema, base = load(args.baseline_json)
         if base_schema != "p2pkernelbench/v1":
@@ -425,7 +416,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("bench_json")
     parser.add_argument("baseline_json", nargs="?")
-    parser.add_argument("--min-speedup", type=float, default=3.0)
     parser.add_argument("--min-shard-speedup", type=float, default=2.5)
     parser.add_argument("--max-regression", type=float, default=1.5)
     parser.add_argument("--min-mem-reduction", type=float, default=5.0)

@@ -752,15 +752,9 @@ int CmdFullstack(util::FlagParser& flags) {
       "threads", 0, "shard worker threads (0 = min(shards, hardware))"));
   const std::string join_mode = flags.GetString(
       "join", "batch", "DHT bootstrap (batch|per-host; same end state)");
-  const std::string lookahead_mode = flags.GetString(
-      "lookahead", "extracted",
-      "cross-shard windows (extracted = measured per-pair matrix, "
-      "fixed = uniform structural bound)");
   const std::string report_path = ReportPath(flags);
   P2P_CHECK_MSG(join_mode == "batch" || join_mode == "per-host",
                 "unknown --join mode '" << join_mode << "'");
-  P2P_CHECK_MSG(lookahead_mode == "extracted" || lookahead_mode == "fixed",
-                "unknown --lookahead mode '" << lookahead_mode << "'");
 
   const alm::Strategy strategy = alm::ParseStrategy(strategy_name);
   std::unique_ptr<alm::Planner> planner =
@@ -803,12 +797,11 @@ int CmdFullstack(util::FlagParser& flags) {
           std::chrono::steady_clock::now() - b0)
           .count();
 
-  // Sharpen the structural constant into the measured per-pair matrix
-  // (--lookahead fixed retains the uniform-window baseline for the a/b
-  // differential). Extraction is exact and deterministic — same seed, same
-  // matrix — so same-seed reports still diff clean.
+  // Sharpen the structural constant into the measured per-pair matrix.
+  // Extraction is exact and deterministic — same seed, same matrix — so
+  // same-seed reports still diff clean.
   double extract_ms = 0.0;
-  if (shards > 1 && lookahead_mode == "extracted") {
+  if (shards > 1) {
     const auto e0 = std::chrono::steady_clock::now();
     net::ExtractLookahead(topo, oracle, plan);
     extract_ms = std::chrono::duration<double, std::milli>(
@@ -1031,7 +1024,6 @@ int CmdFullstack(util::FlagParser& flags) {
   report.AddConfig("horizon_ms", horizon);
   report.AddConfig("shards", static_cast<std::int64_t>(shards));
   report.AddConfig("join", join_mode);
-  report.AddConfig("lookahead", lookahead_mode);
   // Wall-clock build time stays out of the results (same-seed reports must
   // diff clean); it lives in the metrics profile section like every timer.
   // Keys ending in _ms are likewise skipped by tools/compare_reports.py, so
@@ -1050,8 +1042,8 @@ int CmdFullstack(util::FlagParser& flags) {
   report.AddResult("mem_bytes_per_host", mem_per_host);
   report.AddResult("protocol_events", static_cast<double>(protocol_events));
   // Deterministic lookahead facts (the extraction depends only on seed):
-  // the structural window bound, the measured matrix min (0 on --lookahead
-  // fixed or at 1 shard), and the window count they produce.
+  // the structural window bound, the measured matrix min (0 at 1 shard),
+  // and the window count they produce.
   report.AddResult("lookahead_structural_ms", plan.lookahead_ms);
   report.AddResult("lookahead_extracted_ms", plan.extracted_lookahead_ms);
   report.AddResult("lockstep_windows", static_cast<double>(ssim.windows()));

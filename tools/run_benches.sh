@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Build the Release tree and run the ALM planning bench-regression harness.
 #
-# Writes BENCH_alm.json (google-benchmark JSON) at the repo root: every
-# BM_* family runs the new heap+matrix planner AND the retained reference
-# implementation on identical instances, so the per-size real_time ratio
-# BM_AmcastPlanReference/N : BM_AmcastPlan/N is the planning-path speedup.
+# Writes BENCH_alm.json (google-benchmark JSON) at the repo root: the
+# BM_AmcastPlan* families run the heap+matrix planner AND the linear-scan
+# reference kept in tests/reference/amcast_ref.h on identical instances, so
+# the per-size real_time ratio BM_AmcastPlanReference/N : BM_AmcastPlan/N
+# is the planning-path speedup.
 #
 # Also writes BENCH_metrics_snapshot.json — a p2pmetrics/v1 registry
 # snapshot from a short instrumented workload — and checks the metrics
@@ -71,9 +72,9 @@ else
 fi
 
 # Kernel scale sweep: event-loop ns/event at 1.2k/5k/10k hosts under the
-# timing wheel, the retained heap backend, and a copy of the pre-wheel
-# queue. Gated (warn-only) on the >=3x legacy:wheel speedup at 10k hosts,
-# flat wheel memory, ns/event regression vs the committed baseline,
+# timing wheel, stepped and batched (the heap and pre-wheel legacy columns
+# are frozen in docs/KERNEL.md). Gated (warn-only) on flat wheel memory,
+# ns/event regression vs the committed baseline,
 # (PR 9) the per-host protocol memory rows: <= 4096 B/host and >= 2x
 # below the pre-SoA layouts at 10k hosts (--max-bytes-per-host /
 # --min-host-mem-reduction), and (PR 10) the run-phase budget — serial
