@@ -75,9 +75,24 @@ void HeartbeatProtocol::Start() {
   last_heard_.resize(ring_.size());
   detected_.assign(ring_.size(), 0);
   suspected_.resize(ring_.size());
+  // First beats: the phase draws InsertBeat would make, in the same node
+  // order, sorted once. The stable sort keeps equal deadlines in node
+  // order, and every entry lands in the wrapped segment, exactly as
+  // one-at-a-time insertion into the empty row leaves it.
+  P2P_CHECK(beat_order_.empty() && beat_walker_ == sim::kInvalidEventId);
+  const sim::Time now = sim_.now();
   for (NodeIndex n = 0; n < ring_.size(); ++n) {
-    if (ring_.node(n).alive() && OwnsNode(n)) InsertBeat(n);
+    if (!ring_.node(n).alive() || !OwnsNode(n)) continue;
+    beat_order_.emplace_back(
+        now + sim_.rng().Uniform(0.0, config_.period_ms), n);
   }
+  std::stable_sort(beat_order_.begin(), beat_order_.end(),
+                   [](const std::pair<sim::Time, NodeIndex>& a,
+                      const std::pair<sim::Time, NodeIndex>& b) {
+                     return a.first < b.first;
+                   });
+  beat_cursor_ = beat_order_.size();
+  ScheduleSweep();
 }
 
 void HeartbeatProtocol::BindShard(

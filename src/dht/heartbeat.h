@@ -137,9 +137,9 @@ class HeartbeatProtocol {
   std::size_t MemoryBytes() const;
 
  private:
-  // Draw node n's random phase and insert its first deadline into the
-  // cyclic beat row, keeping the walker's wakeup aligned with the earliest
-  // entry.
+  // Draw a joining node n's random phase and insert its first deadline
+  // into the cyclic beat row, keeping the walker's wakeup aligned with the
+  // earliest entry. (Start fills the row in one sort instead.)
   void InsertBeat(NodeIndex n);
   // Fire every beat whose deadline equals the walker's wakeup time, then
   // reschedule for the next entry.

@@ -17,10 +17,9 @@ SomoProtocol::SomoProtocol(sim::Simulation& sim, dht::Ring& ring,
   // fallback, so every gather discipline prices hops identically.
   sim_.transport().set_default_delay_ms(config_.default_hop_delay_ms);
   if (ring_.oracle() != nullptr) sim_.transport().set_oracle(ring_.oracle());
-  tree_ = std::make_unique<LogicalTree>(ring_, config_.fanout);
-  state_.resize(tree_->size());
-  for (LogicalIndex l = 0; l < tree_->size(); ++l)
-    state_[l].from_children.resize(tree_->node(l).children.size());
+  // The tree and the per-logical-node state wait for first use and Start:
+  // a bound instance keeps only the state of the nodes it owns, which is
+  // unknown until BindShard.
   auto& reg = sim_.metrics();
   m_gathers_ = &reg.counter("somo.gathers");
   m_messages_ = &reg.counter("somo.messages");
@@ -48,10 +47,37 @@ bool SomoProtocol::SendBetween(dht::NodeIndex from, dht::NodeIndex to,
   return sim_.transport().Send(msg, std::move(deliver));
 }
 
+const LogicalTree& SomoProtocol::tree() const {
+  const SomoProtocol& home = peers_.empty() ? *this : *peers_[0];
+  if (home.tree_ == nullptr)
+    home.tree_ = std::make_unique<LogicalTree>(ring_, config_.fanout);
+  return *home.tree_;
+}
+
 void SomoProtocol::Start() {
   P2P_CHECK_MSG(!running_, "SOMO already running");
   running_ = true;
+  // State survives Stop/Start; it is sized once per tree.
+  if (state_.empty() && slot_of_.empty()) AllocateState();
   ScheduleLogicalTimers();
+}
+
+void SomoProtocol::AllocateState() {
+  const LogicalTree& t = tree();
+  if (shard_of_host_ == nullptr) {
+    state_.assign(t.size(), LogicalState{});
+  } else {
+    slot_of_.assign(t.size(), kNoSlot);
+    std::uint32_t owned = 0;
+    for (LogicalIndex l = 0; l < t.size(); ++l) {
+      if (OwnsLogical(l)) slot_of_[l] = owned++;
+    }
+    state_.assign(owned, LogicalState{});
+  }
+  for (LogicalIndex l = 0; l < t.size(); ++l) {
+    if (LogicalState* st = StateOf(l))
+      st->from_children.resize(t.node(l).children.size());
+  }
 }
 
 void SomoProtocol::BindShard(std::uint32_t shard,
@@ -67,9 +93,20 @@ void SomoProtocol::BindShard(std::uint32_t shard,
                                       !config_.disseminate &&
                                       !config_.redundant_links),
                 "multi-shard SOMO supports the unsynchronised gather only");
+  // One tree serves every peer, so every peer must derive the same one.
+  for (const SomoProtocol* p : peers) {
+    P2P_CHECK_MSG(p != nullptr && &p->ring_ == &ring_ &&
+                      p->config_.fanout == config_.fanout,
+                  "SOMO peers must share the ring and the fanout");
+  }
   shard_ = shard;
   shard_of_host_ = shard_of_host;
   peers_ = std::move(peers);
+  // Ownership changed: a tree built before binding gives way to the shared
+  // one, and Start sizes the state for the owned nodes only.
+  if (peers_[0] != this) tree_.reset();
+  state_ = std::vector<LogicalState>();
+  slot_of_ = std::vector<std::uint32_t>();
 }
 
 void SomoProtocol::Stop() {
@@ -92,9 +129,10 @@ void SomoProtocol::ScheduleLogicalTimers() {
   // phase comes from the owner shard's RNG stream, so the draw order is
   // shard-count-dependent but schedule-independent (and identical to the
   // serial order at one shard).
-  timers_.reserve(tree_->size());
-  for (LogicalIndex l = 0; l < tree_->size(); ++l) {
-    if (!OwnsLogical(l)) continue;
+  const std::size_t size = tree().size();
+  timers_.reserve(state_.size());  // one timer per kept logical node
+  for (LogicalIndex l = 0; l < size; ++l) {
+    if (StateOf(l) == nullptr) continue;
     const sim::Time phase =
         sim_.rng().Uniform(0.0, config_.report_interval_ms);
     timers_.push_back(sim_.Every(config_.report_interval_ms, phase,
@@ -102,8 +140,9 @@ void SomoProtocol::ScheduleLogicalTimers() {
   }
 }
 
-AggregateReport SomoProtocol::ComputeAggregate(LogicalIndex l) const {
-  const LogicalNode& ln = tree_->node(l);
+AggregateReport SomoProtocol::ComputeAggregate(
+    LogicalIndex l, const LogicalState& st) const {
+  const LogicalNode& ln = tree().node(l);
   AggregateReport agg;
   if (ln.is_leaf()) {
     // A leaf collects the reports of the machines whose ids fall in its
@@ -118,21 +157,21 @@ AggregateReport SomoProtocol::ComputeAggregate(LogicalIndex l) const {
   // Children's aggregates are region-disjoint, but adopted copies (from
   // redundant links) can overlap with a recovered parent path — merge
   // keeping the freshest report per node.
-  for (const auto& child_agg : state_[l].from_children)
+  for (const auto& child_agg : st.from_children)
     agg.MergeKeepFreshest(child_agg);
-  for (const AdoptedEntry& a : state_[l].adopted)
-    agg.MergeKeepFreshest(a.agg);
+  for (const AdoptedEntry& a : st.adopted) agg.MergeKeepFreshest(a.agg);
   return agg;
 }
 
 void SomoProtocol::FireLogical(LogicalIndex l) {
   if (!running_) return;
-  if (l >= tree_->size()) return;  // tree shrank in a Rebuild
-  const LogicalNode& ln = tree_->node(l);
+  LogicalState* st = StateOf(l);
+  if (st == nullptr) return;  // tree shrank in a Rebuild
+  const LogicalNode& ln = tree().node(l);
   if (!ring_.node(ln.owner).alive()) return;  // will be repaired by Rebuild
-  state_[l].own = ComputeAggregate(l);
+  st->own = ComputeAggregate(l, *st);
   if (ln.is_root()) {
-    root_view_ = state_[l].own;
+    root_view_ = st->own;
     if (!root_view_.empty()) {
       ++gathers_completed_;
       m_gathers_->Inc();
@@ -141,23 +180,24 @@ void SomoProtocol::FireLogical(LogicalIndex l) {
     }
     return;
   }
-  PushToParent(l);
+  PushToParent(l, st->own);
 }
 
-void SomoProtocol::PushToParent(LogicalIndex l) {
-  const LogicalNode& ln = tree_->node(l);
+void SomoProtocol::PushToParent(LogicalIndex l, const AggregateReport& own) {
+  const LogicalTree& t = tree();
+  const LogicalNode& ln = t.node(l);
   const LogicalIndex parent = ln.parent;
-  const LogicalNode& pn = tree_->node(parent);
+  const LogicalNode& pn = t.node(parent);
 
   // Redundant links (§3.2): a dead parent host would swallow the push;
   // hand the aggregate to a random alive parent-sibling instead, which
   // adopts it into its own upward aggregate.
   if (config_.redundant_links && !ring_.node(pn.owner).alive() &&
       !pn.is_root()) {
-    const LogicalNode& gp = tree_->node(pn.parent);
+    const LogicalNode& gp = t.node(pn.parent);
     std::vector<LogicalIndex> uncles;
     for (const LogicalIndex u : gp.children) {
-      if (u != parent && ring_.node(tree_->node(u).owner).alive())
+      if (u != parent && ring_.node(t.node(u).owner).alive())
         uncles.push_back(u);
     }
     if (!uncles.empty()) {
@@ -165,12 +205,13 @@ void SomoProtocol::PushToParent(LogicalIndex l) {
           uncles[sim_.rng().NextBounded(uncles.size())];
       ++redundant_pushes_;
       m_redundant_->Inc();
-      AggregateReport payload = state_[l].own;
+      AggregateReport payload = own;
       const std::size_t wire = payload.SerializedBytes();
-      SendBetween(ln.owner, tree_->node(uncle).owner, kMsgRedundantPush,
-                  wire, [this, uncle, l, payload = std::move(payload)] {
-                    if (!running_ || uncle >= state_.size()) return;
-                    auto& adopted = state_[uncle].adopted;
+      SendBetween(ln.owner, t.node(uncle).owner, kMsgRedundantPush, wire,
+                  [this, uncle, l, payload = std::move(payload)] {
+                    LogicalState* ust = StateOf(uncle);
+                    if (!running_ || ust == nullptr) return;
+                    auto& adopted = ust->adopted;
                     const auto it = std::lower_bound(
                         adopted.begin(), adopted.end(), l,
                         [](const AdoptedEntry& a, LogicalIndex v) {
@@ -191,7 +232,7 @@ void SomoProtocol::PushToParent(LogicalIndex l) {
     if (pn.children[slot] == l) break;
   }
   P2P_CHECK(slot < pn.children.size());
-  AggregateReport payload = state_[l].own;
+  AggregateReport payload = own;
   const std::size_t wire = payload.SerializedBytes();
   // The parent's owning instance records the push (== this when unbound),
   // so from_children rows are only written on their owner's shard.
@@ -206,11 +247,11 @@ void SomoProtocol::ReceivePush(LogicalIndex parent, std::size_t slot,
                                LogicalIndex from,
                                const AggregateReport& payload) {
   if (!running_) return;
-  if (parent >= state_.size()) return;
-  if (slot >= state_[parent].from_children.size()) return;
-  state_[parent].from_children[slot] = payload;
+  LogicalState* st = StateOf(parent);
+  if (st == nullptr || slot >= st->from_children.size()) return;
+  st->from_children[slot] = payload;
   // A direct push supersedes any adopted detour copy of this child.
-  auto& adopted = state_[parent].adopted;
+  auto& adopted = st->adopted;
   const auto it = std::lower_bound(
       adopted.begin(), adopted.end(), from,
       [](const AdoptedEntry& a, LogicalIndex v) { return a.from < v; });
@@ -221,12 +262,13 @@ void SomoProtocol::StartSyncGather() {
   if (!running_) return;
   const std::uint64_t round = ++sync_round_counter_;
   sync_started_.push_back({round, sim_.now()});
-  SyncDescend(tree_->root(), sim_.now(), round);
+  SyncDescend(tree().root(), sim_.now(), round);
 }
 
 void SomoProtocol::SyncDescend(LogicalIndex l, sim::Time arrival,
                                std::uint64_t round) {
-  const LogicalNode& ln = tree_->node(l);
+  const LogicalTree& t = tree();
+  const LogicalNode& ln = t.node(l);
   if (ln.is_leaf()) {
     // Fresh reports travel straight back up.
     AggregateReport agg;
@@ -248,13 +290,15 @@ void SomoProtocol::SyncDescend(LogicalIndex l, sim::Time arrival,
       return;
     }
     const std::size_t wire = agg.SerializedBytes();
-    SendBetween(ln.owner, tree_->node(parent).owner, kMsgSyncReply, wire,
+    SendBetween(ln.owner, t.node(parent).owner, kMsgSyncReply, wire,
                 [this, parent, round, agg = std::move(agg)] {
                   SyncReplyArrived(parent, agg, round);
                 });
     return;
   }
-  auto& sync = state_[l].sync;
+  LogicalState* st = StateOf(l);
+  P2P_CHECK(st != nullptr);
+  auto& sync = st->sync;
   const auto it = std::find_if(
       sync.begin(), sync.end(),
       [round](const SyncRound& s) { return s.round == round; });
@@ -264,10 +308,10 @@ void SomoProtocol::SyncDescend(LogicalIndex l, sim::Time arrival,
     it->gather = PendingGather{ln.children.size(), {}};
   for (const LogicalIndex c : ln.children) {
     // The "call for reports" is tiny.
-    SendBetween(ln.owner, tree_->node(c).owner, kMsgSyncCall,
+    SendBetween(ln.owner, t.node(c).owner, kMsgSyncCall,
                 kReportHeaderBytes, [this, c, round] {
                   if (!running_) return;
-                  if (c >= tree_->size()) return;  // tree rebuilt meanwhile
+                  if (c >= tree().size()) return;  // tree rebuilt meanwhile
                   SyncDescend(c, sim_.now(), round);
                 });
   }
@@ -276,18 +320,19 @@ void SomoProtocol::SyncDescend(LogicalIndex l, sim::Time arrival,
 void SomoProtocol::SyncReplyArrived(LogicalIndex l,
                                     const AggregateReport& child_agg,
                                     std::uint64_t round) {
-  if (!running_ || l >= state_.size()) return;
-  LogicalState& st = state_[l];
+  LogicalState* st = StateOf(l);
+  if (!running_ || st == nullptr) return;
   const auto it = std::find_if(
-      st.sync.begin(), st.sync.end(),
+      st->sync.begin(), st->sync.end(),
       [round](const SyncRound& s) { return s.round == round; });
-  if (it == st.sync.end()) return;  // stale round (tree rebuilt, etc.)
+  if (it == st->sync.end()) return;  // stale round (tree rebuilt, etc.)
   it->gather.agg.Merge(child_agg);
   P2P_DCHECK(it->gather.pending > 0);
   if (--it->gather.pending > 0) return;
   AggregateReport complete = std::move(it->gather.agg);
-  st.sync.erase(it);
-  const LogicalNode& ln = tree_->node(l);
+  st->sync.erase(it);
+  const LogicalTree& t = tree();
+  const LogicalNode& ln = t.node(l);
   if (ln.is_root()) {
     root_view_ = std::move(complete);
     ++gathers_completed_;
@@ -298,7 +343,7 @@ void SomoProtocol::SyncReplyArrived(LogicalIndex l,
   }
   const LogicalIndex parent = ln.parent;
   const std::size_t wire = complete.SerializedBytes();
-  SendBetween(ln.owner, tree_->node(parent).owner, kMsgSyncReply, wire,
+  SendBetween(ln.owner, t.node(parent).owner, kMsgSyncReply, wire,
               [this, parent, round, payload = std::move(complete)] {
                 SyncReplyArrived(parent, payload, round);
               });
@@ -324,11 +369,14 @@ void SomoProtocol::RecordRootMetrics(std::uint64_t round) {
   // cached at each tree level (unsync gather only — internal caches are the
   // source of the paper's ~log_k(N)·T root-staleness bound, and watching
   // the age climb level by level makes that bound visible).
+  // A bound root owner sees only the caches of the nodes it owns.
+  const LogicalTree& t = tree();
   std::vector<double> level_age;
-  for (LogicalIndex l = 0; l < tree_->size(); ++l) {
-    const AggregateReport& agg = state_[l].own;
-    if (agg.empty()) continue;
-    const std::size_t level = tree_->node(l).level;
+  for (LogicalIndex l = 0; l < t.size(); ++l) {
+    const LogicalState* st = StateOf(l);
+    if (st == nullptr || st->own.empty()) continue;
+    const AggregateReport& agg = st->own;
+    const std::size_t level = t.node(l).level;
     if (level_age.size() <= level) level_age.resize(level + 1, -1.0);
     level_age[level] = std::max(level_age[level], now - agg.oldest);
   }
@@ -344,14 +392,15 @@ void SomoProtocol::OnRootViewRefreshed() {
   if (!config_.disseminate) return;
   auto snapshot = std::make_shared<const AggregateReport>(root_view_);
   const std::size_t wire = snapshot->SerializedBytes();
-  Disseminate(tree_->root(), std::move(snapshot), wire, sim_.now());
+  Disseminate(tree().root(), std::move(snapshot), wire, sim_.now());
 }
 
 void SomoProtocol::Disseminate(LogicalIndex l,
                                std::shared_ptr<const AggregateReport> view,
                                std::size_t wire, sim::Time arrival) {
   if (node_views_.size() < ring_.size()) node_views_.resize(ring_.size());
-  const LogicalNode& ln = tree_->node(l);
+  const LogicalTree& t = tree();
+  const LogicalNode& ln = t.node(l);
   // A node adopts the copy unless a fresher one already arrived.
   auto adopt = [this, view](dht::NodeIndex n) {
     if (n >= node_views_.size()) return;
@@ -373,9 +422,9 @@ void SomoProtocol::Disseminate(LogicalIndex l,
     return;
   }
   for (const LogicalIndex c : ln.children) {
-    SendBetween(ln.owner, tree_->node(c).owner, kMsgDisseminate, wire,
+    SendBetween(ln.owner, t.node(c).owner, kMsgDisseminate, wire,
                 [this, c, view, wire] {
-                  if (!running_ || c >= tree_->size()) return;
+                  if (!running_ || c >= tree().size()) return;
                   Disseminate(c, view, wire, sim_.now());
                 });
   }
@@ -406,9 +455,7 @@ void SomoProtocol::Rebuild() {
   P2P_CHECK_MSG(peers_.size() <= 1,
                 "Rebuild is unsupported in multi-shard runs");
   tree_ = std::make_unique<LogicalTree>(ring_, config_.fanout);
-  state_.assign(tree_->size(), LogicalState{});
-  for (LogicalIndex l = 0; l < tree_->size(); ++l)
-    state_[l].from_children.resize(tree_->node(l).children.size());
+  AllocateState();
   if (running_) ScheduleLogicalTimers();
 }
 
@@ -446,7 +493,7 @@ bool SomoProtocol::RootViewComplete() const {
 SomoProtocol::QueryResult SomoProtocol::QueryFromNode(
     dht::NodeIndex n) const {
   QueryResult qr;
-  const dht::NodeIndex root_owner = tree_->node(tree_->root()).owner;
+  const dht::NodeIndex root_owner = tree().node(tree().root()).owner;
   qr.route = ring_.Route(n, ring_.node(root_owner).id());
   qr.view = &root_view_;
   return qr;
@@ -458,17 +505,18 @@ dht::NodeIndex SomoProtocol::OptimizeRootFromView() {
   const dht::NodeIndex best = root_view_.best_capacity_node;
   if (best >= ring_.size() || !ring_.node(best).alive())
     return dht::kNoNode;  // stale advert: the champion died
-  const dht::NodeIndex root_owner = tree_->node(tree_->root()).owner;
+  const dht::NodeIndex root_owner = tree().node(tree().root()).owner;
   if (best != root_owner) {
     ring_.SwapNodeIds(best, root_owner);
     Rebuild();
   }
-  return tree_->node(tree_->root()).owner;
+  return tree().node(tree().root()).owner;
 }
 
 std::size_t SomoProtocol::MemoryBytes() const {
   std::size_t total = sizeof(*this);
   total += state_.capacity() * sizeof(LogicalState);
+  total += slot_of_.capacity() * sizeof(std::uint32_t);
   for (const LogicalState& st : state_) {
     total += st.own.MemoryBytes() - sizeof(AggregateReport);
     total += st.from_children.capacity() * sizeof(AggregateReport);
@@ -506,12 +554,12 @@ dht::NodeIndex SomoProtocol::OptimizeRoot(
   for (const dht::NodeIndex n : alive) {
     if (capacity(n) > capacity(best)) best = n;
   }
-  const dht::NodeIndex root_owner = tree_->node(tree_->root()).owner;
+  const dht::NodeIndex root_owner = tree().node(tree().root()).owner;
   if (best != root_owner) {
     ring_.SwapNodeIds(best, root_owner);
     Rebuild();
   }
-  return tree_->node(tree_->root()).owner;
+  return tree().node(tree().root()).owner;
 }
 
 }  // namespace p2p::somo

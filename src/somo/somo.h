@@ -85,13 +85,16 @@ class SomoProtocol {
 
   // Bind this instance to one shard of a sim::ShardedSimulation run (same
   // shape as HeartbeatProtocol::BindShard: one instance per shard over the
-  // shared ring, `shard_of_host` owned by the caller). After binding, this
-  // instance runs timers only for logical nodes whose owner host it owns,
-  // and upward pushes land on the parent's owning instance (ReceivePush),
-  // keeping all mutable per-logical-node state shard-local. Multi-shard
-  // runs support the unsynchronised gather only: the synchronised cascade,
-  // dissemination and redundant links thread `this` through downward
-  // closures and are CHECK-rejected.
+  // shared ring, `shard_of_host` owned by the caller). Bound instances
+  // share one read-only LogicalTree (see tree()) and partition the
+  // per-logical-node state: each keeps state, and runs timers, only for
+  // the logical nodes whose owner host it owns, allocated at Start once
+  // ownership is known. Upward pushes land on the parent's owning instance
+  // (ReceivePush), so all mutable per-logical-node state stays
+  // shard-local. Every peer must run over this ring with this fanout.
+  // Multi-shard runs support the unsynchronised gather only: the
+  // synchronised cascade, dissemination and redundant links thread `this`
+  // through downward closures and are CHECK-rejected.
   void BindShard(std::uint32_t shard,
                  const std::vector<std::uint32_t>* shard_of_host,
                  std::vector<SomoProtocol*> peers);
@@ -101,7 +104,11 @@ class SomoProtocol {
   void ReceivePush(LogicalIndex parent, std::size_t slot, LogicalIndex from,
                    const AggregateReport& payload);
 
-  const LogicalTree& tree() const { return *tree_; }
+  // The logical tree over the ring's alive membership, built on first use
+  // (at the latest by Start). Bound instances all return the one tree held
+  // by the shard-0 peer; Start builds it before any window runs, so shard
+  // threads only ever read it.
+  const LogicalTree& tree() const;
   const SomoConfig& config() const { return config_; }
 
   // The root owner's current global view.
@@ -159,10 +166,16 @@ class SomoProtocol {
   std::size_t redundant_pushes() const { return redundant_pushes_; }
 
  private:
+  struct LogicalState;
+
+  // Size the per-logical-node state for the current tree and ownership.
+  void AllocateState();
   void ScheduleLogicalTimers();
   void FireLogical(LogicalIndex l);
-  void PushToParent(LogicalIndex l);
-  AggregateReport ComputeAggregate(LogicalIndex l) const;
+  // Send l's freshly computed aggregate `own` up the tree.
+  void PushToParent(LogicalIndex l, const AggregateReport& own);
+  AggregateReport ComputeAggregate(LogicalIndex l,
+                                   const LogicalState& st) const;
   void OnRootViewRefreshed();
   // `wire` is the view's encoded size, measured once per snapshot at the
   // root and carried down — re-measuring per downward hop would cost
@@ -184,16 +197,17 @@ class SomoProtocol {
                    SomoMessageKind kind, std::size_t bytes,
                    sim::Transport::DeliverFn deliver);
 
-  // True when this instance runs logical node l's timer (always, unbound).
+  // True when this instance runs logical node l's timer and keeps its
+  // state (always, unbound).
   bool OwnsLogical(LogicalIndex l) const {
     return shard_of_host_ == nullptr ||
-           (*shard_of_host_)[ring_.node(tree_->node(l).owner).host()] ==
+           (*shard_of_host_)[ring_.node(tree().node(l).owner).host()] ==
                shard_;
   }
   // The instance owning logical node l (this, when unbound).
   SomoProtocol* PeerForLogical(LogicalIndex l) {
     if (shard_of_host_ == nullptr) return this;
-    return peers_[(*shard_of_host_)[ring_.node(tree_->node(l).owner)
+    return peers_[(*shard_of_host_)[ring_.node(tree().node(l).owner)
                                         .host()]];
   }
 
@@ -201,7 +215,9 @@ class SomoProtocol {
   dht::Ring& ring_;
   SomoConfig config_;
   ReportProvider provider_;
-  std::unique_ptr<LogicalTree> tree_;
+  // Built lazily by tree(); on a bound instance only the shard-0 peer's
+  // copy is ever built (the others read through peers_[0]).
+  mutable std::unique_ptr<LogicalTree> tree_;
   bool running_ = false;
 
   // Sharding (empty/null when unbound — see BindShard).
@@ -240,7 +256,20 @@ class SomoProtocol {
     std::vector<AdoptedEntry> adopted;
     std::vector<SyncRound> sync;  // in-flight rounds, insertion order
   };
+  // Logical node l's state, or null when this instance keeps none for it
+  // (not owned, not allocated yet, or l is past a shrunken tree).
+  LogicalState* StateOf(LogicalIndex l) {
+    if (slot_of_.empty()) return l < state_.size() ? &state_[l] : nullptr;
+    if (l >= slot_of_.size() || slot_of_[l] == kNoSlot) return nullptr;
+    return &state_[slot_of_[l]];
+  }
+
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  // Unbound: one entry per logical node, indexed by LogicalIndex. Bound:
+  // one entry per owned logical node, at slot_of_[l] (kNoSlot elsewhere).
+  // Empty until Start (or a Rebuild) sizes it.
   std::vector<LogicalState> state_;
+  std::vector<std::uint32_t> slot_of_;  // bound instances only
   std::vector<sim::Simulation::PeriodicToken> timers_;
   AggregateReport root_view_;
   std::vector<NodeView> node_views_;  // dissemination targets, by NodeIndex
@@ -267,8 +296,8 @@ class SomoProtocol {
 
  public:
   // Resident bytes of this protocol instance's per-logical-node state
-  // (cached aggregates, dissemination views, timers). Feeds the
-  // mem.bytes_per_host gauge.
+  // (cached aggregates, the bound slot table, dissemination views,
+  // timers; not the logical tree). Feeds the mem.bytes_per_host gauge.
   std::size_t MemoryBytes() const;
 };
 

@@ -7,6 +7,7 @@
 #include "dht/heartbeat.h"
 #include "dht/ring.h"
 #include "sim/simulation.h"
+#include "util/rng.h"
 
 namespace p2p::dht {
 namespace {
@@ -238,6 +239,31 @@ TEST(Heartbeat, BeatsFollowPhasePeriodAndRowOrderThroughCrashAndJoin) {
   EXPECT_GT(victim_sent, 0u);
   EXPECT_EQ(f.sim.transport().host_stats(victim_host).sent, victim_sent);
   EXPECT_EQ(hb.failures_detected(), 1u);
+}
+
+// Start draws one phase per alive node, in node-index order, from the
+// simulation's RNG (the stream every same-seed run depends on), and each
+// node's first beat fires exactly that phase after Start.
+TEST(Heartbeat, FirstBeatsUsePhasesDrawnInNodeOrder) {
+  constexpr NodeIndex kDead = 5;
+  HeartbeatFixture f(12);
+  f.ring.Fail(kDead);  // draws no phase
+  HeartbeatProtocol hb(f.sim, f.ring);
+  std::vector<sim::Time> first(f.ring.size(), -1.0);
+  hb.AddObserver([&](NodeIndex from, NodeIndex, sim::Time send, sim::Time) {
+    if (first[from] < 0.0) first[from] = send;
+  });
+  util::Rng expect(123);  // the fixture's seed; nothing has drawn from it
+  hb.Start();
+  f.sim.RunUntil(hb.config().period_ms + 100.0);
+  for (NodeIndex n = 0; n < f.ring.size(); ++n) {
+    if (n == kDead) {
+      EXPECT_LT(first[n], 0.0);
+      continue;
+    }
+    EXPECT_EQ(first[n], expect.Uniform(0.0, hb.config().period_ms))
+        << "node " << n;
+  }
 }
 
 // Stop() must also cancel the walker event itself: once the in-flight

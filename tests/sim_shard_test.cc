@@ -7,6 +7,9 @@
 //  * the 1-shard differential against the serial kernel (event count,
 //    metrics snapshot, trace bytes),
 //  * same-seed multi-shard byte-identity, independent of the thread count,
+//  * bound SOMO instances: one shared logical tree, node state partitioned
+//    by ownership (not replicated per shard), a complete root view, and
+//    peers over another ring or fanout rejected at BindShard,
 //  * exchange edge cases (empty outboxes, one active pair, everything in
 //    one window),
 //  * per-pair lookahead matrices: byte-identity against the fixed-window
@@ -419,6 +422,136 @@ TEST(ShardDeterminism, DifferentSeedsDiverge) {
   const ShardedRunLog a = RunTwoShards(99, /*threads=*/1);
   const ShardedRunLog b = RunTwoShards(100, /*threads=*/1);
   EXPECT_NE(a.merged_json, b.merged_json);
+}
+
+// ------------------------------------------------------------ ShardSomo --
+
+std::unique_ptr<somo::SomoProtocol> MakeSomo(Simulation& sim, dht::Ring& ring,
+                                             std::size_t fanout = 4) {
+  somo::SomoConfig cfg;
+  cfg.fanout = fanout;
+  cfg.report_interval_ms = 1000.0;
+  return std::make_unique<somo::SomoProtocol>(
+      sim, ring, cfg, [&ring, &sim](dht::NodeIndex n) {
+        somo::NodeReport r;
+        r.node = n;
+        r.host = ring.node(n).host();
+        r.generated_at = sim.now();
+        return r;
+      });
+}
+
+// `shards` SOMO instances over one ring of a few hundred hosts (host h on
+// shard h % shards), constructed unbound; Bind() wires them the way the
+// CLI's fullstack does. No oracle: every hop costs the 200 ms SOMO
+// default, well above the 10 ms lookahead.
+struct ShardSomoRun {
+  static constexpr std::size_t kHosts = 300;
+  dht::Ring ring{8};
+  std::unique_ptr<ShardedSimulation> ssim;
+  std::vector<std::unique_ptr<somo::SomoProtocol>> somos;
+
+  explicit ShardSomoRun(std::size_t shards) {
+    for (std::size_t i = 0; i < kHosts; ++i) ring.JoinHashed(i);
+    ring.StabilizeAll();
+    ShardedOptions opts;
+    opts.shards = shards;
+    opts.lookahead_ms = 10.0;
+    opts.seed = 77;
+    opts.threads = 2;
+    ssim = std::make_unique<ShardedSimulation>(opts);
+    std::vector<std::uint32_t> shard_of_host(kHosts);
+    for (std::size_t h = 0; h < kHosts; ++h)
+      shard_of_host[h] = static_cast<std::uint32_t>(h % shards);
+    ssim->SetHostShards(std::move(shard_of_host));
+    for (std::size_t s = 0; s < shards; ++s)
+      somos.push_back(MakeSomo(ssim->shard(s), ring));
+  }
+
+  void Bind() {
+    std::vector<somo::SomoProtocol*> peers;
+    for (auto& so : somos) peers.push_back(so.get());
+    for (std::size_t s = 0; s < somos.size(); ++s)
+      somos[s]->BindShard(static_cast<std::uint32_t>(s), &ssim->host_shards(),
+                          peers);
+  }
+  void Start() {
+    for (auto& so : somos) so->Start();
+  }
+};
+
+TEST(ShardSomo, BoundInstancesShareOneTree) {
+  for (const std::size_t shards : {2UL, 4UL}) {
+    SCOPED_TRACE(shards);
+    ShardSomoRun run(shards);
+    // A tree read before binding gives way to the shared one (the freed
+    // copy's address may be reused, so only the sharing is asserted).
+    EXPECT_GT(run.somos.back()->tree().size(), 0u);
+    run.Bind();
+    // First read through the last peer: the shared tree is still the one
+    // every instance returns.
+    const somo::LogicalTree* tree = &run.somos.back()->tree();
+    for (const auto& so : run.somos) EXPECT_EQ(&so->tree(), tree);
+    run.Start();
+    for (const auto& so : run.somos) EXPECT_EQ(&so->tree(), tree);
+    tree->CheckInvariants(run.ring);
+  }
+}
+
+TEST(ShardSomo, BoundStateIsPartitionedNotReplicated) {
+  for (const std::size_t shards : {2UL, 4UL}) {
+    SCOPED_TRACE(shards);
+    ShardSomoRun run(shards);
+    run.Bind();
+    run.Start();
+    std::size_t bound = 0;
+    for (const auto& so : run.somos) bound += so->MemoryBytes();
+    Simulation serial(77);
+    const auto unbound = MakeSomo(serial, run.ring);
+    unbound->Start();
+    const std::size_t one = unbound->MemoryBytes();
+    // Each logical node's state lives on exactly one instance: the bound
+    // total is one unbound instance plus the slot indexes, not S copies.
+    EXPECT_GE(bound, one);
+    EXPECT_LE(bound * 100, one * 105);
+  }
+}
+
+TEST(ShardSomo, RootOwnerGathersCompleteView) {
+  for (const std::size_t shards : {2UL, 4UL}) {
+    SCOPED_TRACE(shards);
+    ShardSomoRun run(shards);
+    run.Bind();
+    const somo::LogicalTree& tree = run.somos[0]->tree();
+    const somo::SomoProtocol& root = *run.somos[run.ssim->ShardOfHost(
+        run.ring.node(tree.node(tree.root()).owner).host())];
+    run.Start();
+    // depth·T lets every report climb the hierarchy, plus hop slack.
+    run.ssim->RunUntil((static_cast<double>(tree.depth()) + 2.0) * 1000.0 +
+                       1000.0);
+    EXPECT_GT(run.ssim->cross_shard_messages(), 0u);
+    EXPECT_TRUE(root.RootViewComplete());
+    EXPECT_EQ(root.RootReport().size(), ShardSomoRun::kHosts);
+  }
+}
+
+TEST(ShardSomo, BindShardRejectsPeersOverAnotherRingOrFanout) {
+  ShardSomoRun run(2);
+  somo::SomoProtocol& first = *run.somos[0];
+  const auto wider = MakeSomo(run.ssim->shard(1), run.ring, /*fanout=*/8);
+  EXPECT_THROW(
+      first.BindShard(0, &run.ssim->host_shards(), {&first, wider.get()}),
+      util::CheckError);
+  dht::Ring other(8);
+  for (std::size_t i = 0; i < ShardSomoRun::kHosts; ++i) other.JoinHashed(i);
+  other.StabilizeAll();
+  const auto elsewhere = MakeSomo(run.ssim->shard(1), other);
+  EXPECT_THROW(
+      first.BindShard(0, &run.ssim->host_shards(), {&first, elsewhere.get()}),
+      util::CheckError);
+  // The matching peer binds.
+  EXPECT_NO_THROW(first.BindShard(0, &run.ssim->host_shards(),
+                                  {&first, run.somos[1].get()}));
 }
 
 // -------------------------------------------------------- ShardExchange --

@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "net/latency_oracle.h"
 
 #include "alm/bounds.h"
@@ -84,6 +86,13 @@ int FinishReport(const obs::RunReport& report, const std::string& path) {
   }
   std::printf("report -> %s\n", path.c_str());
   return 0;
+}
+
+// The process's maximum resident set so far, in MiB (getrusage).
+double PeakRssMib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
 }
 
 // "0,0.05,0.1" → {0.0, 0.05, 0.1}.
@@ -876,7 +885,7 @@ int CmdFullstack(util::FlagParser& flags) {
     }
   }
   // The root view lives on the instance owning the SOMO root point's host
-  // (all shards build the identical tree).
+  // (bound instances share one tree, so any of them can name it).
   const somo::LogicalTree& tree0 = somos[0]->tree();
   const dht::NodeIndex somo_root_owner = tree0.node(tree0.root()).owner;
   const std::size_t root_shard =
@@ -959,6 +968,10 @@ int CmdFullstack(util::FlagParser& flags) {
   const double base = PlanSession(in, alm::Strategy::kAmcast).height_true;
   in.planner_metrics = planner_name != "tree";
   const auto r = planner->Plan(in);
+  // Whole-run peak, planning included. Wall-clock-like (allocator and
+  // kernel state), so it joins the profile section, not the results.
+  const double peak_rss_mib = PeakRssMib();
+  sim0.metrics().profile("fullstack.peak_rss_mib").Add(peak_rss_mib);
 
   util::Table t({"metric", "value"});
   t.AddRow({std::string("preset"), preset_name});
@@ -975,6 +988,7 @@ int CmdFullstack(util::FlagParser& flags) {
             static_cast<double>(oracle.MemoryBytes()) / (1024.0 * 1024.0)});
   t.AddRow({std::string("DHT join (ms)"), join_ms});
   t.AddRow({std::string("protocol mem (bytes/host)"), mem_per_host});
+  t.AddRow({std::string("peak RSS (MiB)"), peak_rss_mib});
   t.AddRow({std::string("shards"), static_cast<long long>(shards)});
   if (shards > 1) {
     t.AddRow({std::string("lookahead (ms)"), plan.lookahead_ms});

@@ -15,6 +15,9 @@
 #   tools/run_tests.sh --report default     # also run every CLI experiment
 #                                           # with --report and validate the
 #                                           # emitted p2preport/v1 JSON
+#                                           # (and gate the 2-shard
+#                                           # fullstack's bytes per host at
+#                                           # 1.1x the 1-shard run's)
 #   tools/run_tests.sh --big default        # opt-in 100k-preset fullstack
 #                                           # smoke (minutes of wall time;
 #                                           # skipped by default). With
@@ -121,6 +124,18 @@ if [ "$report_mode" = 1 ]; then
     python3 tools/compare_reports.py \
       "$report" "$report_dir/b/$(basename "$report")"
   done
+  # Sharding must not replicate protocol state: bound SOMO instances share
+  # one logical tree and split the per-node state, so the 2-shard run may
+  # cost at most 1.1x the 1-shard run's protocol bytes per host.
+  python3 - "$report_dir/a/fullstack.json" \
+    "$report_dir/a/fullstack-sharded.json" <<'EOF'
+import json, sys
+one, two = (json.load(open(p))["results"]["mem_bytes_per_host"]
+            for p in sys.argv[1:3])
+print(f"mem_bytes_per_host: 1 shard {one:.1f}, 2 shards {two:.1f} "
+      f"({two / one:.3f}x, limit 1.1x)")
+sys.exit(0 if two <= 1.1 * one else 1)
+EOF
   # Thread-count determinism: multi's --jobs workers also build its
   # ResourcePool (topology wiring, ring stabilisation, coordinate fits),
   # so one worker and four must give the same report.
