@@ -197,6 +197,22 @@ void BM_LatencyMatrixBuild(benchmark::State& state) {
 BENCHMARK(BM_LatencyMatrixBuild)->Arg(100)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
+// The same fill straight from the oracle: one LatencyRow call per matrix
+// row instead of a LatencyFn call per pair.
+void BM_LatencyMatrixBuildOracle(benchmark::State& state) {
+  auto& fx = SharedFixture();
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(11);
+  const auto idx = rng.SampleIndices(fx.topo.host_count(), n);
+  const std::vector<alm::ParticipantId> ids(idx.begin(), idx.end());
+  for (auto _ : state) {
+    const alm::LatencyMatrix matrix(fx.topo.host_count(), ids, fx.oracle);
+    benchmark::DoNotOptimize(matrix.size());
+  }
+}
+BENCHMARK(BM_LatencyMatrixBuildOracle)->Arg(100)->Arg(512)
+    ->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------- transport overhead --
 
 // Cost of one message through the bus: schedule + deliver, faults off.

@@ -70,6 +70,7 @@ AmcastResult BuildAmcastTree(const AmcastInput& input,
   std::vector<ParticipantId> helpers = input.helper_candidates;
   std::sort(helpers.begin(), helpers.end());
   helpers.erase(std::unique(helpers.begin(), helpers.end()), helpers.end());
+  std::vector<double> to_parent_ms;  // helper search: l(helpers[i], pu)
 
   // Tree degrees mirrored in a flat array: the fallback scan reads a
   // degree per tree member per pop, and tree.Degree() pays a containment
@@ -193,11 +194,14 @@ AmcastResult BuildAmcastTree(const AmcastInput& input,
           if (pending_ids[i] != u && tent_parent[pending_ids[i]] == pu)
             vs.push_back(pending_dense[i]);
         }
-        for (const ParticipantId c : helpers) {
+        // l(c, pu) for every candidate in one call: matrix reads when pu is
+        // core, one source column when pu is a spliced helper (satellite).
+        to_parent_ms.resize(helpers.size());
+        latency.Column(pu, helpers, to_parent_ms.data());
+        for (std::size_t i = 0; i < helpers.size(); ++i) {
+          const ParticipantId c = helpers[i];
           if (input.degree_bounds[c] < options.helper_min_degree) continue;
-          // pu may itself be a spliced helper (satellite tier), so this
-          // query stays on the fallback-aware operator().
-          const double to_parent = latency(c, pu);
+          const double to_parent = to_parent_ms[i];
           if (to_parent >= options.helper_radius) continue;
           double score = to_parent;
           if (options.selection == HelperSelection::kMinimaxHeuristic) {

@@ -4,11 +4,21 @@
 
 namespace p2p::alm {
 
-template <typename Eval>
-void LatencyMatrix::Build(std::size_t participant_space,
-                          const std::vector<ParticipantId>& core_ids,
-                          const std::vector<ParticipantId>& satellite_ids,
-                          const Eval& eval) {
+LatencySource OracleLatency(const net::LatencyOracle& oracle) {
+  return LatencySource(
+      [&oracle](ParticipantId a, ParticipantId b) {
+        return oracle.Latency(a, b);
+      },
+      [&oracle](ParticipantId a, std::span<const ParticipantId> bs,
+                double* out) { oracle.LatencyRow(a, bs, out); });
+}
+
+LatencyMatrix::LatencyMatrix(std::size_t participant_space,
+                             const std::vector<ParticipantId>& core_ids,
+                             const std::vector<ParticipantId>& satellite_ids,
+                             const LatencySource& latency)
+    : source_(latency) {
+  P2P_CHECK_MSG(latency != nullptr, "building a LatencyMatrix from a null fn");
   dense_.assign(participant_space, kAbsent);
   std::vector<ParticipantId> covered;
   covered.reserve(core_ids.size() + satellite_ids.size());
@@ -26,14 +36,14 @@ void LatencyMatrix::Build(std::size_t participant_space,
   n_ = covered.size();
 
   data_.assign(n_ * core_n_, 0.0);
-  // Fill the strict lower triangle row by row — every write is sequential —
-  // then mirror the core block with a blocked transpose so neither side of
-  // the copy strides through cold cache lines.
+  // Fill the strict lower triangle one row per source call — row i holds
+  // latency(covered[i], covered[j]) for j < min(i, core_n_), every write
+  // sequential — then mirror the core block with a blocked transpose so
+  // neither side of the copy strides through cold cache lines.
+  const std::span<const ParticipantId> columns(covered);
   for (std::size_t i = 1; i < n_; ++i) {
-    double* row = data_.data() + i * core_n_;
     const std::size_t jmax = std::min<std::size_t>(i, core_n_);
-    for (std::size_t j = 0; j < jmax; ++j)
-      row[j] = eval(covered[i], covered[j]);
+    latency.Row(covered[i], columns.first(jmax), data_.data() + i * core_n_);
   }
   constexpr std::size_t kTile = 32;
   for (std::size_t ib = 0; ib < core_n_; ib += kTile) {
@@ -48,26 +58,22 @@ void LatencyMatrix::Build(std::size_t participant_space,
   }
 }
 
-LatencyMatrix::LatencyMatrix(std::size_t participant_space,
-                             const std::vector<ParticipantId>& core_ids,
-                             const std::vector<ParticipantId>& satellite_ids,
-                             const LatencyFn& fn)
-    : fn_(fn) {
-  P2P_CHECK_MSG(fn != nullptr, "building a LatencyMatrix from a null fn");
-  Build(participant_space, core_ids, satellite_ids, fn);
-}
-
-LatencyMatrix::LatencyMatrix(std::size_t participant_space,
-                             const std::vector<ParticipantId>& core_ids,
-                             const std::vector<ParticipantId>& satellite_ids,
-                             const net::LatencyOracle& oracle)
-    : fn_([&oracle](ParticipantId a, ParticipantId b) {
-        return oracle.Latency(a, b);
-      }) {
-  Build(participant_space, core_ids, satellite_ids,
-        [&oracle](ParticipantId a, ParticipantId b) {
-          return oracle.Latency(a, b);
-        });
+void LatencyMatrix::Column(ParticipantId b, std::span<const ParticipantId> as,
+                           double* out) const {
+  P2P_DCHECK(Covers(b));
+  const std::uint32_t ib = dense_[b];
+  if (ib < core_n_) {
+    for (std::size_t k = 0; k < as.size(); ++k)
+      out[k] = data_[static_cast<std::size_t>(dense_[as[k]]) * core_n_ + ib];
+    return;
+  }
+  source_.Column(b, as, out);
+  // Core entries come from b's own row, as operator() reads them.
+  const double* row = data_.data() + static_cast<std::size_t>(ib) * core_n_;
+  for (std::size_t k = 0; k < as.size(); ++k) {
+    const std::uint32_t ia = dense_[as[k]];
+    if (ia < core_n_) out[k] = row[ia];
+  }
 }
 
 }  // namespace p2p::alm

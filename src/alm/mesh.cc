@@ -82,14 +82,6 @@ std::uint64_t SeedFor(const PlanInput& input, const MeshOptions& options) {
   return h;
 }
 
-LatencyFn TruthFn(const PlanInput& input) {
-  if (input.true_latency != nullptr) return input.true_latency;
-  const net::LatencyOracle* oracle = input.oracle;
-  return [oracle](ParticipantId a, ParticipantId b) {
-    return oracle->Latency(a, b);
-  };
-}
-
 MeshState InitState(const PlanInput& input) {
   P2P_CHECK_MSG(input.true_latency != nullptr || input.oracle != nullptr,
                 "MeshPlanner needs a true latency fn or an oracle");
@@ -105,13 +97,10 @@ MeshState InitState(const PlanInput& input) {
     st.cap.push_back(input.degree_bounds[v]);
   }
   st.adj.assign(st.nodes.size(), {});
-  // Truth-only planning: with an oracle and no override fn, fill by direct
-  // oracle calls (same fast path as the tree planner's oracle_direct).
-  st.matrix = input.oracle != nullptr && input.true_latency == nullptr
-                  ? LatencyMatrix(input.degree_bounds.size(), st.nodes,
-                                  *input.oracle)
-                  : LatencyMatrix(input.degree_bounds.size(), st.nodes,
-                                  TruthFn(input));
+  // Truth-only planning: with an oracle and no override fn, the fill runs
+  // on the oracle's row kernel (the tree planner's fast path too).
+  st.matrix = LatencyMatrix(input.degree_bounds.size(), st.nodes,
+                            input.Truth());
   return st;
 }
 

@@ -10,6 +10,48 @@
 
 namespace p2p::alm {
 
+LatencySource PlanInput::Truth() const {
+  if (true_latency != nullptr) return true_latency;
+  P2P_CHECK_MSG(oracle != nullptr, "no true latency fn and no oracle");
+  return OracleLatency(*oracle);
+}
+
+LatencySource LeafsetHybridLatency(const std::vector<char>& is_member,
+                                   LatencySource truth,
+                                   LatencySource estimate) {
+  LatencyFn pair = [&is_member, truth, estimate](ParticipantId a,
+                                                 ParticipantId b) {
+    return (is_member[a] && is_member[b]) ? truth(a, b) : estimate(a, b);
+  };
+  // A non-member row is all estimates; a member row is truth except at
+  // non-member columns (none in a planning fill, whose columns are the
+  // session's own members). Columns follow the same rule.
+  LatencyBatchFn row = [&is_member, truth, estimate](
+                           ParticipantId a, std::span<const ParticipantId> bs,
+                           double* out) {
+    if (!is_member[a]) {
+      estimate.Row(a, bs, out);
+      return;
+    }
+    truth.Row(a, bs, out);
+    for (std::size_t k = 0; k < bs.size(); ++k)
+      if (!is_member[bs[k]]) out[k] = estimate(a, bs[k]);
+  };
+  LatencyBatchFn column = [&is_member, truth = std::move(truth),
+                           estimate = std::move(estimate)](
+                              ParticipantId b,
+                              std::span<const ParticipantId> as, double* out) {
+    if (!is_member[b]) {
+      estimate.Column(b, as, out);
+      return;
+    }
+    truth.Column(b, as, out);
+    for (std::size_t k = 0; k < as.size(); ++k)
+      if (!is_member[as[k]]) out[k] = estimate(as[k], b);
+  };
+  return LatencySource(std::move(pair), std::move(row), std::move(column));
+}
+
 std::size_t MaxFanout(const MulticastTree& tree) {
   std::size_t fanout = 0;
   for (const ParticipantId v : tree.members())
@@ -104,25 +146,23 @@ PlanResult TreePlanner::DoPlan(const PlanInput& input) {
                 "PlanSession needs a true latency fn or an oracle");
   P2P_CHECK_MSG(!options_.use_estimates || input.estimated_latency != nullptr,
                 "Leafset strategies need an estimated latency");
-  const net::LatencyOracle* oracle = input.oracle;
-  LatencyFn truth = input.true_latency;
-  if (truth == nullptr) {
-    truth = [oracle](ParticipantId a, ParticipantId b) {
-      return oracle->Latency(a, b);
-    };
-  }
+  // Every id is checked before the first write indexed by one (is_member).
+  const std::size_t space = input.degree_bounds.size();
+  P2P_CHECK_MSG(input.root < space, "root id out of range");
+  for (const ParticipantId m : input.members)
+    P2P_CHECK_MSG(m < space, "member id " << m << " out of range");
+  for (const ParticipantId h : input.helper_candidates)
+    P2P_CHECK_MSG(h < space, "helper id " << h << " out of range");
+  const LatencySource truth = input.Truth();
 
   // Planning latency: true for oracle strategies; hybrid for Leafset.
-  LatencyFn planning = truth;
+  std::vector<char> is_member;
+  LatencySource planning = truth;
   if (options_.use_estimates) {
-    std::vector<char> is_member(input.degree_bounds.size(), 0);
+    is_member.assign(space, 0);
     is_member[input.root] = 1;
     for (const ParticipantId m : input.members) is_member[m] = 1;
-    planning = [is_member = std::move(is_member), truth,
-                est = input.estimated_latency](ParticipantId a,
-                                               ParticipantId b) {
-      return (is_member[a] && is_member[b]) ? truth(a, b) : est(a, b);
-    };
+    planning = LeafsetHybridLatency(is_member, truth, input.estimated_latency);
   }
 
   AmcastInput ain;
@@ -141,23 +181,16 @@ PlanResult TreePlanner::DoPlan(const PlanInput& input) {
   // One planning matrix per session: every latency the build (and the
   // final planning-height evaluation) reads becomes a flat array load
   // instead of a std::function dispatch. Root and members are the core;
-  // helper candidates are satellites (their pairwise block is never read).
+  // helper candidates are satellites (their pairwise block is not filled).
+  // The fill takes one row-kernel call per row: oracle rows, or the Leafset
+  // hybrid's truth and estimate rows.
   std::vector<ParticipantId> core_ids;
   input.AppendAllMembers(core_ids);
-  // An oracle without estimate-based planning means every planning latency
-  // is a truth query: fill the matrix with direct oracle calls instead of
-  // going through the std::function per pair.
-  const bool oracle_direct = oracle != nullptr &&
-                             input.true_latency == nullptr &&
-                             !options_.use_estimates;
   const std::vector<ParticipantId> satellite_ids =
       aopt.selection != HelperSelection::kNone ? ain.helper_candidates
                                                : std::vector<ParticipantId>{};
-  const LatencyMatrix planning_matrix =
-      oracle_direct ? LatencyMatrix(input.degree_bounds.size(), core_ids,
-                                    satellite_ids, *oracle)
-                    : LatencyMatrix(input.degree_bounds.size(), core_ids,
-                                    satellite_ids, planning);
+  const LatencyMatrix planning_matrix(space, core_ids, satellite_ids,
+                                      planning);
 
   AmcastResult built = BuildAmcastTree(ain, planning_matrix, aopt);
 
@@ -170,18 +203,13 @@ PlanResult TreePlanner::DoPlan(const PlanInput& input) {
     // membership. This is why the paper finds adjustment "remarkably
     // effective especially for Leafset": it repairs the damage done by
     // coordinate-estimate errors during helper selection.
-    const LatencyMatrix true_matrix =
-        oracle != nullptr && input.true_latency == nullptr
-            ? LatencyMatrix(input.degree_bounds.size(), result.tree.members(),
-                            *oracle)
-            : LatencyMatrix(input.degree_bounds.size(), result.tree.members(),
-                            truth);
+    const LatencyMatrix true_matrix(space, result.tree.members(), truth);
     result.adjust_stats = AdjustTree(result.tree, input.degree_bounds,
                                      true_matrix, input.adjust);
     result.height_true = result.tree.Height(true_matrix);
   } else {
     // One O(members) evaluation pass; not worth a pairwise matrix fill.
-    result.height_true = result.tree.Height(truth);
+    result.height_true = result.tree.Height(truth.pair());
   }
   result.height_planning = result.tree.Height(planning_matrix);
   if (input.metrics != nullptr) {

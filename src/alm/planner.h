@@ -40,9 +40,11 @@ struct PlanInput {
   std::vector<ParticipantId> helper_candidates;
   LatencyFn true_latency;
   // Coordinate-based estimate; required only when the planner reports
-  // NeedsEstimates() (the Leafset tree configurations).
-  LatencyFn estimated_latency;
-  // When set, planning matrices are filled by direct oracle calls (no
+  // NeedsEstimates() (the Leafset tree configurations). A plain LatencyFn
+  // converts; a source with a row kernel (ResourcePool::EstimatedLatencyFn)
+  // fills each planning-matrix row in one call.
+  LatencySource estimated_latency;
+  // When set, planning matrices are filled by the oracle's row kernel (no
   // std::function dispatch per pair) and `true_latency` may be left null —
   // participant ids must then be host indices into the oracle. Leafset
   // strategies still need `estimated_latency`; a non-null `true_latency`
@@ -58,6 +60,9 @@ struct PlanInput {
   // maintenance_msgs) recorded by the Planner::Plan wrapper. Off by default
   // so legacy Strategy paths keep their pre-interface snapshot bytes.
   bool planner_metrics = false;
+
+  // The truth source: `true_latency` when set, else OracleLatency(*oracle).
+  LatencySource Truth() const;
 
   // Root followed by members, appended to `out` (planning hot paths build
   // matrix core-id lists this way; see also SessionSpec::AppendAllMembers).
@@ -80,6 +85,15 @@ struct PlanResult {
   // computation — which is exactly the axis the mesh comparison measures.
   std::size_t maintenance_messages = 0;
 };
+
+// The Leafset strategies' planning latency: truth between two session
+// members (is_member[v] != 0, indexed by participant id), the estimate for
+// every pair that touches a non-member. Its row (column) kernel is built
+// from the truth and estimate rows (columns); `is_member` must outlive the
+// source.
+LatencySource LeafsetHybridLatency(const std::vector<char>& is_member,
+                                   LatencySource truth,
+                                   LatencySource estimate);
 
 // Maximum out-degree (children count) over every node of the tree — the
 // "stress" a plan puts on its busiest forwarder.

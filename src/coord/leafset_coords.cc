@@ -1,6 +1,7 @@
 #include "coord/leafset_coords.h"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 
 #include "util/check.h"
@@ -23,6 +24,41 @@ LeafsetCoordSystem::LeafsetCoordSystem(const dht::Ring& ring,
   }
   inbox_.resize(ring_.size());
   fresh_.assign(ring_.size(), 0);
+}
+
+void LeafsetCoordSystem::PredictRow(dht::NodeIndex a,
+                                    std::span<const dht::NodeIndex> bs,
+                                    double* out) const {
+  const Vec& ca = coords_.at(a);
+  const double* x = ca.data();
+  const std::size_t d = ca.size();
+  // Four estimates at a time: their sums are independent, so interleaving
+  // them overlaps the add chains. Each sum still takes its d terms in
+  // SquaredDistance's order, so every value is the double Predict returns.
+  std::size_t k = 0;
+  for (; k + 4 <= bs.size(); k += 4) {
+    const double* q0 = coords_.at(bs[k]).data();
+    const double* q1 = coords_.at(bs[k + 1]).data();
+    const double* q2 = coords_.at(bs[k + 2]).data();
+    const double* q3 = coords_.at(bs[k + 3]).data();
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (std::size_t i = 0; i < d; ++i) {
+      const double d0 = x[i] - q0[i];
+      const double d1 = x[i] - q1[i];
+      const double d2 = x[i] - q2[i];
+      const double d3 = x[i] - q3[i];
+      s0 += d0 * d0;
+      s1 += d1 * d1;
+      s2 += d2 * d2;
+      s3 += d3 * d3;
+    }
+    out[k] = std::sqrt(s0);
+    out[k + 1] = std::sqrt(s1);
+    out[k + 2] = std::sqrt(s2);
+    out[k + 3] = std::sqrt(s3);
+  }
+  for (; k < bs.size(); ++k)
+    out[k] = std::sqrt(SquaredDistance(x, coords_.at(bs[k]).data(), d));
 }
 
 double LeafsetCoordSystem::Measured(dht::NodeIndex a,

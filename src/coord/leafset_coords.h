@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -96,6 +97,10 @@ class LeafsetCoordSystem {
   double Predict(dht::NodeIndex a, dht::NodeIndex b) const {
     return Distance(coords_.at(a), coords_.at(b));
   }
+  // Row kernel: out[k] = Predict(a, bs[k]) for every k, bit for bit, with
+  // a's coordinate fetched once. Throws like Predict on an unknown node.
+  void PredictRow(dht::NodeIndex a, std::span<const dht::NodeIndex> bs,
+                  double* out) const;
   double Measured(dht::NodeIndex a, dht::NodeIndex b) const;
 
   std::size_t updates_performed() const { return updates_; }

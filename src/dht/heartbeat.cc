@@ -196,7 +196,7 @@ void HeartbeatProtocol::ScheduleSweep() {
 void HeartbeatProtocol::Beat(NodeIndex n) {
   if (!running_ || !ring_.node(n).alive()) return;
   const sim::Time now = sim_.now();
-  for (const auto& e : ring_.node(n).leafset().Members()) {
+  ring_.node(n).leafset().ForEachMember([&](const LeafsetEntry& e) {
     ++sent_;
     m_sent_->Inc();
     const NodeIndex to = e.node;
@@ -213,7 +213,7 @@ void HeartbeatProtocol::Beat(NodeIndex n) {
     HeartbeatProtocol* peer = PeerForNode(to);
     sim_.transport().Send(
         msg, [peer, n, to, now] { peer->Deliver(n, to, now); }, opts);
-  }
+  });
   CheckTimeouts(n);
 }
 
@@ -236,6 +236,8 @@ void HeartbeatProtocol::Deliver(NodeIndex from, NodeIndex to,
 
 void HeartbeatProtocol::CheckTimeouts(NodeIndex n) {
   const sim::Time now = sim_.now();
+  // A snapshot, not ForEachMember: Ring::DetectFailure below refills n's own
+  // leafset (and every other) while this loop is still walking it.
   for (const auto& e : ring_.node(n).leafset().Members()) {
     const NodeIndex m = e.node;
     if (ring_.node(m).alive()) {

@@ -66,14 +66,19 @@ void Leafset::Clear() {
 std::vector<LeafsetEntry> Leafset::Members() const {
   std::vector<LeafsetEntry> all;
   all.reserve(succ_.size() + pred_.size());
-  all.insert(all.end(), succ_.begin(), succ_.end());
-  for (const auto& e : pred_) {
-    if (!std::any_of(all.begin(), all.end(),
-                     [&](const LeafsetEntry& x) { return x.id == e.id; })) {
-      all.push_back(e);
-    }
-  }
+  ForEachMember([&all](const LeafsetEntry& e) { all.push_back(e); });
   return all;
+}
+
+bool Leafset::IsSuccessor(NodeId id) const {
+  // succ_ is sorted by clockwise distance: an id past its farthest entry
+  // cannot be in it, which settles every predecessor of a ring larger
+  // than 2r+1 without a scan.
+  if (succ_.empty() || ClockwiseDistance(owner_, id) >
+                           ClockwiseDistance(owner_, succ_.back().id))
+    return false;
+  return std::any_of(succ_.begin(), succ_.end(),
+                     [&](const LeafsetEntry& x) { return x.id == id; });
 }
 
 bool Leafset::Contains(NodeId id) const {

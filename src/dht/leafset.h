@@ -46,6 +46,16 @@ class Leafset {
 
   // All members, successors then predecessors (no particular global order).
   std::vector<LeafsetEntry> Members() const;
+  // Visits Members() in place, in the same order and without the copy. A
+  // predecessor already listed as a successor is skipped (a ring of 2r+1
+  // nodes or fewer puts a node on both sides). `f` must not modify this
+  // leafset.
+  template <typename F>
+  void ForEachMember(F&& f) const {
+    for (const LeafsetEntry& e : succ_) f(e);
+    for (const LeafsetEntry& e : pred_)
+      if (!IsSuccessor(e.id)) f(e);
+  }
   std::size_t size() const { return succ_.size() + pred_.size(); }
   bool Contains(NodeId id) const;
 
@@ -76,6 +86,8 @@ class Leafset {
   }
 
  private:
+  bool IsSuccessor(NodeId id) const;
+
   NodeId owner_;
   std::size_t r_;
   std::vector<LeafsetEntry> succ_;  // sorted by clockwise distance from owner

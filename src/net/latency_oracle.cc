@@ -317,6 +317,103 @@ double LatencyOracle::Latency(HostIdx a, HostIdx b) const {
          host_last_hop_[b];
 }
 
+// The row loops below repeat Latency / RouterDistance / HierRouterDistance
+// term for term, in the same order, with the row host's lookups hoisted:
+// every out[k] is the double Latency(a, bs[k]) returns.
+template <typename T>
+void LatencyOracle::FlatRow(HostIdx a, std::span<const HostIdx> bs,
+                            double* out) const {
+  const T* tri = flat_.data<T>();
+  const std::size_t n = router_count_;
+  const NodeIdx ra = host_router_[a];
+  const double la = host_last_hop_[a];
+  // Cell (ra, rb) with rb >= ra sits at ra_base + rb.
+  const std::size_t ra_base = TriIndex(ra, ra, n) - ra;
+  for (std::size_t k = 0; k < bs.size(); ++k) {
+    const HostIdx b = bs[k];
+    P2P_CHECK(b < host_count());
+    if (b == a) {
+      out[k] = 0.0;
+      continue;
+    }
+    const NodeIdx rb = host_router_[b];
+    double d = 0.0;
+    if (rb != ra) {
+      d = static_cast<double>(ra <= rb ? tri[ra_base + rb]
+                                       : tri[TriIndex(rb, ra, n)]);
+    }
+    out[k] = la + d + host_last_hop_[b];
+  }
+}
+
+template <typename T>
+void LatencyOracle::HierRow(HostIdx a, std::span<const HostIdx> bs,
+                            double* out) const {
+  const T* core = core_.data<T>();
+  const T* intra = intra_.data<T>();
+  const auto core_at = [&](std::uint32_t ca, std::uint32_t cb) {
+    return static_cast<double>(ca <= cb ? core[TriIndex(ca, cb, core_count_)]
+                                        : core[TriIndex(cb, ca, core_count_)]);
+  };
+  const NodeIdx ra = host_router_[a];
+  const double la = host_last_hop_[a];
+  const std::uint32_t da = stub_domain_[ra];
+  const std::uint32_t a_local = local_of_[ra];
+  const std::size_t a_begin = portal_offset_[ra];
+  const std::size_t a_end = portal_offset_[ra + 1];
+  for (std::size_t k = 0; k < bs.size(); ++k) {
+    const HostIdx b = bs[k];
+    P2P_CHECK(b < host_count());
+    if (b == a) {
+      out[k] = 0.0;
+      continue;
+    }
+    const NodeIdx rb = host_router_[b];
+    double d = 0.0;
+    if (rb != ra) {
+      d = kInfLatency;
+      if (da != kNone && da == stub_domain_[rb]) {
+        const std::size_t m = domain_size_[da];
+        const std::size_t base = intra_offset_[da];
+        const std::uint32_t b_local = local_of_[rb];
+        d = static_cast<double>(
+            a_local <= b_local ? intra[base + TriIndex(a_local, b_local, m)]
+                               : intra[base + TriIndex(b_local, a_local, m)]);
+      }
+      const std::size_t b_begin = portal_offset_[rb];
+      const std::size_t b_end = portal_offset_[rb + 1];
+      if (a_end - a_begin == 1 && b_end - b_begin == 1) {
+        const double via =
+            portal_dist_[a_begin] +
+            core_at(portal_core_[a_begin], portal_core_[b_begin]) +
+            portal_dist_[b_begin];
+        d = std::min(d, via);
+      } else {
+        for (std::size_t i = a_begin; i < a_end; ++i) {
+          const double da_ms = portal_dist_[i];
+          for (std::size_t j = b_begin; j < b_end; ++j) {
+            const double via = da_ms +
+                               core_at(portal_core_[i], portal_core_[j]) +
+                               portal_dist_[j];
+            d = std::min(d, via);
+          }
+        }
+      }
+    }
+    out[k] = la + d + host_last_hop_[b];
+  }
+}
+
+void LatencyOracle::LatencyRow(HostIdx a, std::span<const HostIdx> bs,
+                               double* out) const {
+  P2P_CHECK(a < host_count());
+  if (kind_ == OracleKind::kFlat) {
+    use_float_ ? FlatRow<float>(a, bs, out) : FlatRow<double>(a, bs, out);
+  } else {
+    use_float_ ? HierRow<float>(a, bs, out) : HierRow<double>(a, bs, out);
+  }
+}
+
 std::size_t LatencyOracle::MemoryBytes() const {
   auto vec_bytes = [](const auto& v) {
     return v.size() * sizeof(typename std::decay_t<decltype(v)>::value_type);

@@ -29,6 +29,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "net/transit_stub.h"
@@ -78,6 +80,13 @@ class LatencyOracle {
   // End-to-end latency between hosts, in ms. Symmetric; 0 on the diagonal.
   double Latency(HostIdx a, HostIdx b) const;
 
+  // Row kernel: out[k] = Latency(a, bs[k]) for every k, bit for bit. The
+  // row host's router, last hop and portals are looked up once per call,
+  // not once per pair. `a` stays the first operand of every sum, so each
+  // value rounds exactly as Latency(a, b) does (Latency(b, a) may differ
+  // in the last bit). Throws like Latency on an out-of-range id.
+  void LatencyRow(HostIdx a, std::span<const HostIdx> bs, double* out) const;
+
   // Router-level distance (ms) between two routers.
   double RouterDistance(NodeIdx a, NodeIdx b) const;
 
@@ -121,6 +130,16 @@ class LatencyOracle {
       return use_float ? static_cast<double>(f32[i]) : d64[i];
     }
     std::size_t size() const { return use_float ? f32.size() : d64.size(); }
+    // The storage as T (double or float): row kernels hoist the precision
+    // branch out of their loops and widen each element as Get does.
+    template <typename T>
+    const T* data() const {
+      if constexpr (std::is_same_v<T, float>) {
+        return f32.data();
+      } else {
+        return d64.data();
+      }
+    }
     std::size_t bytes() const {
       return d64.size() * sizeof(double) + f32.size() * sizeof(float);
     }
@@ -150,6 +169,11 @@ class LatencyOracle {
                     : intra_.Get(base + TriIndex(lb, la, m));
   }
   double HierRouterDistance(NodeIdx a, NodeIdx b) const;
+  // LatencyRow's loops, per backend and storage type T.
+  template <typename T>
+  void FlatRow(HostIdx a, std::span<const HostIdx> bs, double* out) const;
+  template <typename T>
+  void HierRow(HostIdx a, std::span<const HostIdx> bs, double* out) const;
 
   OracleKind kind_ = OracleKind::kFlat;
   bool use_float_ = false;

@@ -43,6 +43,7 @@ ClaimResult DegreeRegistry::Claim(std::size_t node, alm::SessionId session,
   if (static_cast<int>(slots.size()) < tables_[node].total) {
     slots.push_back({session, priority, is_member});
     SyncTable(node);
+    claimed_[session].push_back(node);
     result.ok = true;
     return result;
   }
@@ -65,6 +66,7 @@ ClaimResult DegreeRegistry::Claim(std::size_t node, alm::SessionId session,
   result.preemption = true;
   *weakest = {session, priority, is_member};
   SyncTable(node);
+  claimed_[session].push_back(node);
   result.ok = true;
   return result;
 }
@@ -83,7 +85,15 @@ int DegreeRegistry::Release(std::size_t node, alm::SessionId session) {
 std::vector<std::size_t> DegreeRegistry::ReleaseSession(
     alm::SessionId session) {
   std::vector<std::size_t> affected;
-  for (std::size_t n = 0; n < slots_.size(); ++n) {
+  const auto it = claimed_.find(session);
+  if (it == claimed_.end()) return affected;
+  std::vector<std::size_t> nodes = std::move(it->second);
+  claimed_.erase(it);
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  // A node whose claims were all preempted releases nothing and is left
+  // out, as the full scan this replaces left it out.
+  for (const std::size_t n : nodes) {
     if (Release(n, session) > 0) affected.push_back(n);
   }
   return affected;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <unordered_map>
 #include <vector>
 
 #include "alm/session.h"
@@ -48,7 +49,8 @@ class DegreeRegistry {
   // Release all slots `session` holds at `node`; returns how many.
   int Release(std::size_t node, alm::SessionId session);
 
-  // Release every slot of `session`; returns the affected nodes.
+  // Release every slot of `session`; returns the affected nodes, ascending.
+  // Visits only the nodes the session has claimed at, not every node.
   std::vector<std::size_t> ReleaseSession(alm::SessionId session);
 
   // Slots held by `session` at `node`.
@@ -71,6 +73,10 @@ class DegreeRegistry {
   // table() view is regenerated on mutation.
   std::vector<std::vector<Slot>> slots_;
   std::vector<somo::DegreeTable> tables_;
+  // Per session, every node a claim of it succeeded at since its last
+  // ReleaseSession (repeats and since-preempted claims included): the only
+  // nodes that can hold its slots.
+  std::unordered_map<alm::SessionId, std::vector<std::size_t>> claimed_;
 
   void SyncTable(std::size_t node);
 };

@@ -82,15 +82,33 @@ double ResourcePool::EstimatedLatency(std::size_t a, std::size_t b) const {
   return coords_->Predict(a, b);
 }
 
+void ResourcePool::EstimatedLatencyRow(std::size_t a,
+                                       std::span<const std::size_t> bs,
+                                       double* out) const {
+  P2P_CHECK_MSG(coords_ != nullptr, "coordinates were not built");
+  coords_->PredictRow(a, bs, out);
+  for (std::size_t k = 0; k < bs.size(); ++k)
+    if (bs[k] == a) out[k] = 0.0;
+}
+
 alm::LatencyFn ResourcePool::TrueLatencyFn() const {
   return [this](std::size_t a, std::size_t b) { return TrueLatency(a, b); };
 }
 
-alm::LatencyFn ResourcePool::EstimatedLatencyFn() const {
+alm::LatencySource ResourcePool::EstimatedLatencyFn() const {
   P2P_CHECK_MSG(coords_ != nullptr, "coordinates were not built");
-  return [this](std::size_t a, std::size_t b) {
-    return EstimatedLatency(a, b);
+  // The estimate is symmetric bit for bit: x − y is exactly −(y − x), so
+  // every squared term, their in-order sum and its root are the same
+  // doubles either way. The row kernel therefore serves as the column
+  // kernel too.
+  const alm::LatencyBatchFn row = [this](std::size_t a,
+                                         std::span<const std::size_t> bs,
+                                         double* out) {
+    EstimatedLatencyRow(a, bs, out);
   };
+  return alm::LatencySource(
+      [this](std::size_t a, std::size_t b) { return EstimatedLatency(a, b); },
+      row, row);
 }
 
 }  // namespace p2p::pool

@@ -8,10 +8,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "alm/tree.h"
+#include "alm/latency_matrix.h"
 #include "bwest/estimator.h"
 #include "coord/leafset_coords.h"
 #include "dht/ring.h"
@@ -93,9 +94,15 @@ class ResourcePool {
   double TrueLatency(std::size_t a, std::size_t b) const;
   // Coordinate-estimated latency (requires build_coordinates).
   double EstimatedLatency(std::size_t a, std::size_t b) const;
+  // Row form: out[k] = EstimatedLatency(a, bs[k]), bit for bit, through
+  // LeafsetCoordSystem::PredictRow.
+  void EstimatedLatencyRow(std::size_t a, std::span<const std::size_t> bs,
+                           double* out) const;
 
   alm::LatencyFn TrueLatencyFn() const;
-  alm::LatencyFn EstimatedLatencyFn() const;
+  // EstimatedLatency as a planning source, with EstimatedLatencyRow as its
+  // row and column kernel (planning-matrix fills take one call per row).
+  alm::LatencySource EstimatedLatencyFn() const;
 
   util::Rng& rng() { return rng_; }
 

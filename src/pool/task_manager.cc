@@ -111,7 +111,9 @@ ScheduleOutcome TaskManager::Schedule(const somo::AggregateReport* view) {
     if (in.degree_bounds[v] >= options_.helper_min_available)
       in.helper_candidates.push_back(v);
   }
-  in.true_latency = pool_.TrueLatencyFn();
+  // The oracle itself, not TrueLatencyFn(): same values, but planning fills
+  // read it through its row kernel, as they read the coordinates' estimates.
+  in.oracle = &pool_.oracle();
   if (planner_->NeedsEstimates())
     in.estimated_latency = pool_.EstimatedLatencyFn();
   in.amcast = options_.amcast;

@@ -13,6 +13,9 @@
 //      Repair() that reconnects exactly the survivors.
 //   3. Registry/options plumbing: factory lookups, duplicate registration,
 //      the planner_metrics opt-in namespace, and the option-cube mapping.
+//   4. Row fills: matrices and plans built through the oracle's and the
+//      Leafset hybrid's row kernels equal the per-pair reference bit for
+//      bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +31,8 @@
 #include "alm/mesh.h"
 #include "obs/metrics.h"
 #include "obs/scope_timer.h"
+#include "pool/resource_pool.h"
+#include "test_support.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -73,10 +78,24 @@ PlanInput MakeInput(std::uint64_t seed, std::size_t min_members = 3) {
   return in;
 }
 
+// The reference's Leafset planning latency, per pair: truth between two
+// session members, the estimate for any pair touching a non-member.
+LatencyFn ReferenceLeafsetHybrid(const PlanInput& input,
+                                 const LatencyFn& truth) {
+  std::vector<char> is_member(input.degree_bounds.size(), 0);
+  is_member[input.root] = 1;
+  for (const ParticipantId m : input.members) is_member[m] = 1;
+  return [is_member = std::move(is_member), truth,
+          est = input.estimated_latency](ParticipantId a, ParticipantId b) {
+    return (is_member[a] && is_member[b]) ? truth(a, b) : est(a, b);
+  };
+}
+
 // ---------------------------------------------------------------------------
-// Verbatim copy of the pre-interface alm/critical.cc PlanSession body. Do
-// not "improve" it: its only job is to pin the refactored path to the old
-// behavior bit for bit, metric emission included.
+// Verbatim copy of the pre-interface alm/critical.cc PlanSession body (its
+// Leafset hybrid is ReferenceLeafsetHybrid above). Do not "improve" it: its
+// only job is to pin the refactored path to the old behavior bit for bit,
+// metric emission included.
 PlanResult PlanSessionReference(const PlanInput& input, Strategy strategy) {
   obs::ScopeTimer plan_timer(
       input.metrics != nullptr ? &input.metrics->profile("alm.plan_ms")
@@ -95,16 +114,8 @@ PlanResult PlanSessionReference(const PlanInput& input, Strategy strategy) {
   }
 
   LatencyFn planning = truth;
-  if (StrategyUsesEstimates(strategy)) {
-    std::vector<char> is_member(input.degree_bounds.size(), 0);
-    is_member[input.root] = 1;
-    for (const ParticipantId m : input.members) is_member[m] = 1;
-    planning = [is_member = std::move(is_member), truth,
-                est = input.estimated_latency](ParticipantId a,
-                                               ParticipantId b) {
-      return (is_member[a] && is_member[b]) ? truth(a, b) : est(a, b);
-    };
-  }
+  if (StrategyUsesEstimates(strategy))
+    planning = ReferenceLeafsetHybrid(input, truth);
 
   AmcastInput ain;
   ain.degree_bounds = input.degree_bounds;
@@ -224,6 +235,145 @@ TEST(PlannerShim, AllStrategiesByteIdenticalToPreInterfacePlanSession) {
       // all there is.)
       EXPECT_EQ(shim_reg.SnapshotJson(), ref_reg.SnapshotJson());
       EXPECT_EQ(factory_reg.SnapshotJson(), ref_reg.SnapshotJson());
+    }
+  }
+}
+
+TEST(PlannerInput, OutOfRangeIdsThrowBeforeAnyWrite) {
+  // Checked before the Leafset strategies index their member table by id;
+  // under the sanitizers an unchecked id is a heap overflow, not a throw.
+  for (const Strategy s : kAllStrategies) {
+    SCOPED_TRACE(StrategyName(s));
+    const PlanInput base = MakeInput(3);
+    const ParticipantId past = base.degree_bounds.size() + 64;
+    PlanInput bad_root = base;
+    bad_root.root = past;
+    EXPECT_THROW(PlanSession(bad_root, s), util::CheckError);
+    PlanInput bad_member = base;
+    bad_member.members.push_back(past);
+    EXPECT_THROW(PlanSession(bad_member, s), util::CheckError);
+    PlanInput bad_helper = base;
+    bad_helper.helper_candidates.push_back(past);
+    EXPECT_THROW(PlanSession(bad_helper, s), util::CheckError);
+    EXPECT_NO_THROW(PlanSession(base, s));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Row fills: a LatencyMatrix filled through a source's row kernel holds the
+// doubles a per-pair fill holds, bit for bit, and answers satellite↔
+// satellite queries (per pair, or a column at a time) identically too.
+
+// Every pair of `ids` through operator(), and every column through Column()
+// (the helper search's batched queries), against the per-pair matrix.
+void ExpectIdenticalMatrices(const LatencyMatrix& rows,
+                             const LatencyMatrix& pairs,
+                             const std::vector<ParticipantId>& ids) {
+  ASSERT_EQ(rows.size(), pairs.size());
+  ASSERT_EQ(rows.core_size(), pairs.core_size());
+  std::vector<double> column(ids.size());
+  for (const ParticipantId b : ids) {
+    rows.Column(b, ids, column.data());
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const ParticipantId a = ids[k];
+      if (rows(a, b) != pairs(a, b) || column[k] != pairs(a, b)) {
+        EXPECT_EQ(rows(a, b), pairs(a, b)) << "pair " << a << "," << b;
+        EXPECT_EQ(column[k], pairs(a, b)) << "column " << b << " at " << a;
+        return;
+      }
+    }
+  }
+}
+
+// A session over the shared small pool: root + 15 members as the core, 40
+// other hosts as satellites.
+struct PoolSession {
+  std::vector<ParticipantId> core, satellites, all;
+  PlanInput input;
+};
+
+PoolSession MakePoolSession(const pool::ResourcePool& pool,
+                            std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto idx = rng.SampleIndices(pool.size(), 56);
+  PoolSession s;
+  s.all.assign(idx.begin(), idx.end());
+  s.core.assign(s.all.begin(), s.all.begin() + 16);
+  s.satellites.assign(s.all.begin() + 16, s.all.end());
+  s.input.degree_bounds = pool.degree_bounds();
+  s.input.root = s.core[0];
+  s.input.members.assign(s.core.begin() + 1, s.core.end());
+  s.input.helper_candidates = s.satellites;
+  s.input.estimated_latency = pool.EstimatedLatencyFn();
+  return s;
+}
+
+TEST(RowFill, OracleRowsMatchPerPairFill) {
+  const pool::ResourcePool& pool = p2p::testing::SharedSmallPool();
+  const net::LatencyOracle hier(
+      pool.topology(),
+      net::OracleOptions{.kind = net::OracleKind::kHierarchical});
+  for (const net::LatencyOracle* oracle : {&pool.oracle(), &hier}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const PoolSession s = MakePoolSession(pool, seed);
+      const LatencyFn per_pair = [oracle](ParticipantId a, ParticipantId b) {
+        return oracle->Latency(a, b);
+      };
+      ExpectIdenticalMatrices(
+          LatencyMatrix(pool.size(), s.core, s.satellites, *oracle),
+          LatencyMatrix(pool.size(), s.core, s.satellites, per_pair), s.all);
+    }
+  }
+}
+
+TEST(RowFill, LeafsetHybridRowsMatchReferenceHybrid) {
+  const pool::ResourcePool& pool = p2p::testing::SharedSmallPool();
+  const LatencyFn truth = [&pool](ParticipantId a, ParticipantId b) {
+    return pool.oracle().Latency(a, b);
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const PoolSession s = MakePoolSession(pool, seed);
+    std::vector<char> is_member(pool.size(), 0);
+    for (const ParticipantId v : s.core) is_member[v] = 1;
+    const LatencySource hybrid = LeafsetHybridLatency(
+        is_member, OracleLatency(pool.oracle()), pool.EstimatedLatencyFn());
+    const LatencyFn reference = ReferenceLeafsetHybrid(s.input, truth);
+    ExpectIdenticalMatrices(
+        LatencyMatrix(pool.size(), s.core, s.satellites, hybrid),
+        LatencyMatrix(pool.size(), s.core, s.satellites, reference), s.all);
+    // A planning fill only ever gives a member row member columns; the
+    // kernels still take any mix, member rows and columns included.
+    std::vector<double> row(s.all.size()), column(s.all.size());
+    for (const ParticipantId x : s.all) {
+      hybrid.Row(x, s.all, row.data());
+      hybrid.Column(x, s.all, column.data());
+      for (std::size_t k = 0; k < s.all.size(); ++k) {
+        ASSERT_EQ(row[k], reference(x, s.all[k])) << x << "," << s.all[k];
+        ASSERT_EQ(column[k], reference(s.all[k], x)) << s.all[k] << "," << x;
+      }
+    }
+  }
+}
+
+TEST(RowFill, LeafsetPlanWithRowSourcesMatchesReference) {
+  // The pool's oracle and row-kernel estimates, as TaskManager passes them,
+  // against the reference planner fed plain per-pair functions.
+  const pool::ResourcePool& pool = p2p::testing::SharedSmallPool();
+  for (const Strategy strategy :
+       {Strategy::kLeafset, Strategy::kLeafsetAdjust,
+        Strategy::kCriticalAdjust}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(StrategyName(strategy) + " seed " + std::to_string(seed));
+      PlanInput rows = MakePoolSession(pool, seed).input;
+      rows.oracle = &pool.oracle();
+      PlanInput pairs = rows;
+      pairs.oracle = nullptr;
+      pairs.true_latency = pool.TrueLatencyFn();
+      pairs.estimated_latency = [&pool](ParticipantId a, ParticipantId b) {
+        return pool.EstimatedLatency(a, b);
+      };
+      ExpectIdenticalPlans(PlanSession(rows, strategy),
+                           PlanSessionReference(pairs, strategy));
     }
   }
 }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "coord/gnp.h"
 #include "coord/leafset_coords.h"
@@ -250,6 +253,47 @@ TEST(LeafsetCoords, PredictIsSymmetricAndNonNegative) {
       EXPECT_DOUBLE_EQ(cs.Predict(a, b), cs.Predict(b, a));
       EXPECT_GE(cs.Predict(a, b), 0.0);
     }
+}
+
+TEST(LeafsetCoords, PredictRowMatchesPredictBitForBit) {
+  auto& pool = p2p::testing::SharedSmallPool();
+  const auto& cs = pool.coords();
+  std::vector<dht::NodeIndex> all(pool.size());
+  for (std::size_t v = 0; v < all.size(); ++v) all[v] = v;
+  std::vector<double> row(all.size());
+  // First k where the row differs from the per-pair value, or bs.size().
+  const auto mismatch = [&row](std::span<const dht::NodeIndex> bs,
+                               const auto& pair) {
+    for (std::size_t k = 0; k < bs.size(); ++k)
+      if (row[k] != pair(bs[k])) return k;
+    return bs.size();
+  };
+  for (dht::NodeIndex a = 0; a < pool.size(); ++a) {
+    const auto predict = [&](dht::NodeIndex b) { return cs.Predict(a, b); };
+    // The full row (the row node itself included), then short rows of every
+    // length mod 4, so the four-wide blocks and the remainder both count.
+    std::vector<std::span<const dht::NodeIndex>> rows{all};
+    for (const std::size_t len : {1, 2, 3, 5, 7})
+      rows.emplace_back(all.data() + a % 100, len);
+    for (const std::span<const dht::NodeIndex> bs : rows) {
+      cs.PredictRow(a, bs, row.data());
+      const std::size_t k = mismatch(bs, predict);
+      if (k < bs.size()) {
+        EXPECT_EQ(row[k], cs.Predict(a, bs[k])) << a << " vs " << bs[k];
+        return;
+      }
+    }
+    pool.EstimatedLatencyRow(a, all, row.data());
+    const std::size_t k = mismatch(
+        all, [&](dht::NodeIndex b) { return pool.EstimatedLatency(a, b); });
+    if (k < all.size()) {
+      EXPECT_EQ(row[k], pool.EstimatedLatency(a, k)) << a << " vs " << k;
+      return;
+    }
+  }
+  const std::vector<dht::NodeIndex> bad{0, pool.size()};
+  EXPECT_THROW(cs.PredictRow(0, bad, row.data()), std::out_of_range);
+  EXPECT_THROW(cs.PredictRow(pool.size(), all, row.data()), std::out_of_range);
 }
 
 TEST(LeafsetCoords, EventDrivenModeConverges) {

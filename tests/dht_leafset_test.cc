@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "dht/leafset.h"
+#include "util/rng.h"
 
 namespace p2p::dht {
 namespace {
@@ -28,6 +32,36 @@ TEST(Leafset, SameNodeAppearsOnBothSidesInTinyRings) {
   EXPECT_EQ(ls.successor(), 1u);
   EXPECT_EQ(ls.predecessor(), 1u);
   EXPECT_EQ(ls.Members().size(), 1u);  // deduplicated view
+}
+
+TEST(Leafset, ForEachMemberVisitsMembersInOrder) {
+  // Successors, then each predecessor not already listed as a successor:
+  // the rule Members() always had, checked on rings small enough to put
+  // nodes on both sides and on rings too large to.
+  util::Rng rng(5);
+  for (const std::size_t r : {1u, 2u, 4u}) {
+    for (std::size_t n = 1; n <= 2 * r + 4; ++n) {
+      Leafset ls(rng(), r);
+      for (NodeIndex i = 1; i < n; ++i) ls.Insert(rng(), i);
+      if (n % 3 == 0 && ls.size() > 0) ls.Remove(ls.successors().back().id);
+      std::vector<LeafsetEntry> expected = ls.successors();
+      for (const LeafsetEntry& e : ls.predecessors()) {
+        if (std::none_of(ls.successors().begin(), ls.successors().end(),
+                         [&](const LeafsetEntry& x) { return x.id == e.id; }))
+          expected.push_back(e);
+      }
+      std::vector<LeafsetEntry> visited;
+      ls.ForEachMember([&](const LeafsetEntry& e) { visited.push_back(e); });
+      const std::vector<LeafsetEntry> members = ls.Members();
+      ASSERT_EQ(visited.size(), expected.size()) << "r " << r << " n " << n;
+      ASSERT_EQ(members.size(), expected.size()) << "r " << r << " n " << n;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(visited[i].id, expected[i].id);
+        EXPECT_EQ(visited[i].node, expected[i].node);
+        EXPECT_EQ(members[i].id, expected[i].id);
+      }
+    }
+  }
 }
 
 TEST(Leafset, RemoveDropsBothSides) {

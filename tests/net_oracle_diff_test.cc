@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "net/latency_oracle.h"
 #include "net/transit_stub.h"
 #include "test_support.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -56,6 +58,113 @@ TEST(OracleDiff, HierarchicalMatchesFlatAcrossSeeds) {
             << "seed " << seed << " hosts " << a << "," << b;
       }
     }
+  }
+}
+
+// Index of the first k where row[k] is not the double Latency(a, bs[k])
+// returns, or bs.size() when the whole row matches bit for bit.
+std::size_t FirstRowMismatch(const net::LatencyOracle& oracle, net::HostIdx a,
+                             const std::vector<net::HostIdx>& bs,
+                             const std::vector<double>& row) {
+  for (std::size_t k = 0; k < bs.size(); ++k)
+    if (row[k] != oracle.Latency(a, bs[k])) return k;
+  return bs.size();
+}
+
+// Stub routers with a link leaving their stub domain, per stub domain.
+std::vector<std::size_t> GatewaysPerStubDomain(
+    const net::TransitStubTopology& topo) {
+  std::vector<std::size_t> gateways;
+  for (net::NodeIdx r = 0; r < topo.router_count(); ++r) {
+    if (topo.is_transit[r]) continue;
+    const std::size_t d = topo.domain_of[r];
+    if (d >= gateways.size()) gateways.resize(d + 1, 0);
+    for (const net::Graph::Neighbor& nb : topo.routers.Neighbors(r)) {
+      if (topo.is_transit[nb.to] || topo.domain_of[nb.to] != d) {
+        ++gateways[d];
+        break;
+      }
+    }
+  }
+  return gateways;
+}
+
+TEST(OracleDiff, LatencyRowMatchesLatencyBitForBit) {
+  // Every row host against every host, itself included, on both backends
+  // in both precisions. The counters make sure the rows cover the cases
+  // the kernels branch on.
+  std::size_t same_router = 0, same_domain = 0, multi_gateway = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    util::Rng rng(seed);
+    const net::TransitStubTopology topo =
+        net::GenerateTransitStub(VariedParams(seed), rng);
+    const std::vector<std::size_t> gateways = GatewaysPerStubDomain(topo);
+    const std::size_t hosts = topo.host_count();
+    std::vector<net::HostIdx> all(hosts);
+    for (net::HostIdx h = 0; h < hosts; ++h) all[h] = h;
+    for (net::HostIdx a = 0; a < hosts; ++a) {
+      for (net::HostIdx b = 0; b < hosts; ++b) {
+        const net::NodeIdx ra = topo.host_router[a], rb = topo.host_router[b];
+        if (a != b && ra == rb) ++same_router;
+        if (ra == rb || topo.is_transit[ra] || topo.is_transit[rb]) continue;
+        if (topo.domain_of[ra] == topo.domain_of[rb]) {
+          ++same_domain;
+        } else if (gateways[topo.domain_of[ra]] > 1 &&
+                   gateways[topo.domain_of[rb]] > 1) {
+          ++multi_gateway;
+        }
+      }
+    }
+    for (const net::OracleKind kind :
+         {net::OracleKind::kFlat, net::OracleKind::kHierarchical}) {
+      for (const net::OraclePrecision precision :
+           {net::OraclePrecision::kF64, net::OraclePrecision::kF32}) {
+        const net::LatencyOracle oracle(
+            topo, net::OracleOptions{.kind = kind, .precision = precision});
+        std::vector<double> row(hosts);
+        for (net::HostIdx a = 0; a < hosts; ++a) {
+          oracle.LatencyRow(a, all, row.data());
+          const std::size_t k = FirstRowMismatch(oracle, a, all, row);
+          if (k < hosts) {
+            EXPECT_EQ(row[k], oracle.Latency(a, all[k]))
+                << "seed " << seed << " kind " << static_cast<int>(kind)
+                << " f32 " << oracle.uses_float_storage() << " hosts " << a
+                << "," << all[k];
+            return;
+          }
+        }
+        // Order and repeats are the caller's: a reversed row with the row
+        // host twice gives the same doubles.
+        std::vector<net::HostIdx> shuffled(all.rbegin(), all.rend());
+        shuffled.push_back(0);
+        shuffled.push_back(0);
+        std::vector<double> out(shuffled.size());
+        oracle.LatencyRow(0, shuffled, out.data());
+        EXPECT_EQ(FirstRowMismatch(oracle, 0, shuffled, out), shuffled.size())
+            << "seed " << seed;
+        oracle.LatencyRow(0, {}, nullptr);  // an empty row writes nothing
+      }
+    }
+  }
+  EXPECT_GT(same_router, 0u);
+  EXPECT_GT(same_domain, 0u);
+  EXPECT_GT(multi_gateway, 0u);
+}
+
+TEST(OracleDiff, LatencyRowRejectsOutOfRangeIds) {
+  util::Rng rng(7);
+  const net::TransitStubTopology topo =
+      net::GenerateTransitStub(VariedParams(7), rng);
+  const net::HostIdx n = topo.host_count();
+  for (const net::OracleKind kind :
+       {net::OracleKind::kFlat, net::OracleKind::kHierarchical}) {
+    const net::LatencyOracle oracle(topo, net::OracleOptions{.kind = kind});
+    std::vector<double> out(2);
+    const std::vector<net::HostIdx> ok{0, 1};
+    const std::vector<net::HostIdx> bad{0, n};
+    EXPECT_THROW(oracle.LatencyRow(n, ok, out.data()), util::CheckError);
+    EXPECT_THROW(oracle.LatencyRow(0, bad, out.data()), util::CheckError);
+    EXPECT_THROW(oracle.Latency(0, n), util::CheckError);
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "pool/degree_table.h"
 #include "util/check.h"
 
@@ -100,6 +102,28 @@ TEST(DegreeRegistry, ReleaseSessionAcrossNodes) {
   const auto affected = reg.ReleaseSession(5);
   EXPECT_EQ(affected, (std::vector<std::size_t>{0, 2}));
   EXPECT_EQ(reg.TotalUsed(), 1u);
+}
+
+TEST(DegreeRegistry, ReleaseSessionSkipsNodesWherePreempted) {
+  // Session 5 claims at nodes 0, 1 and 2; session 6 then preempts its only
+  // slot at node 1. Releasing 5 frees nodes 0 and 2 and leaves node 1 (and
+  // session 6's slot there) alone, as the full scan did.
+  DegreeRegistry reg({2, 1, 2});
+  reg.Claim(2, 5, 3, false);
+  reg.Claim(0, 5, 3, false);
+  reg.Claim(1, 5, 3, false);
+  reg.Claim(0, 5, 3, false);
+  const ClaimResult cr = reg.Claim(1, 6, 1, false);
+  ASSERT_TRUE(cr.ok && cr.preemption);
+  EXPECT_EQ(cr.preempted, 5);
+  EXPECT_EQ(reg.HeldBy(1, 5), 0);
+  EXPECT_EQ(reg.ReleaseSession(5), (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(reg.HeldBy(1, 6), 1);
+  EXPECT_EQ(reg.TotalUsed(), 1u);
+  EXPECT_TRUE(reg.ReleaseSession(5).empty());
+  EXPECT_EQ(reg.ReleaseSession(6), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(reg.TotalUsed(), 0u);
+  reg.CheckInvariants();
 }
 
 TEST(DegreeRegistry, TotalsAndInvariants) {
