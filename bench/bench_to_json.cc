@@ -333,6 +333,31 @@ void BM_PlanSessionMetrics(benchmark::State& state) {
 BENCHMARK(BM_PlanSessionMetrics)->Arg(100)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
+// One fixed 50-member critical+adj plan over the 1200-host oracle, its
+// degree bounds padded with 2s to `ids` entries: what a plan pays per id
+// of the caller's id space. The plan itself works in the session's own
+// ids; only the read-only non-negativity check over the bounds still
+// grows with the id space.
+void BM_PlanInPool(benchmark::State& state) {
+  auto& fx = SharedFixture();
+  const auto in = MakeInput(fx, 50, /*with_helpers=*/true);
+  alm::PlanInput pin;
+  pin.degree_bounds = in.degree_bounds;
+  pin.degree_bounds.resize(static_cast<std::size_t>(state.range(0)), 2);
+  pin.root = in.root;
+  pin.members = in.members;
+  pin.helper_candidates = in.helper_candidates;
+  pin.oracle = &fx.oracle;
+  alm::TreePlanner planner(
+      alm::OptionsForStrategy(alm::Strategy::kCriticalAdjust));
+  for (auto _ : state) {
+    const auto r = planner.Plan(pin);
+    benchmark::DoNotOptimize(r.height_true);
+  }
+}
+BENCHMARK(BM_PlanInPool)->Arg(1200)->Arg(10000)->Arg(50000)->Arg(200000)
+    ->Unit(benchmark::kMillisecond);
+
 // SOMO gather + dissemination over a live ring, bare vs with an
 // AlertEngine evaluating the `alert` experiment's two in-band rules every
 // half cycle. The twin prices the whole alerting layer on the monitoring

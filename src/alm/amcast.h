@@ -39,6 +39,8 @@ struct AmcastOptions {
 
 struct AmcastInput {
   // Degree bound per participant id; ids ≥ degree_bounds.size() invalid.
+  // The build's own state is sized by degree_bounds.size(), so TreePlanner
+  // passes the session's planning ids here, not the pool's.
   std::vector<int> degree_bounds;
   ParticipantId root = kNoParticipant;
   // Session members M(s), excluding the root.

@@ -18,32 +18,47 @@ LatencyMatrix::LatencyMatrix(std::size_t participant_space,
                              const std::vector<ParticipantId>& satellite_ids,
                              const LatencySource& latency)
     : source_(latency) {
-  P2P_CHECK_MSG(latency != nullptr, "building a LatencyMatrix from a null fn");
+  Build(participant_space, core_ids, satellite_ids, {});
+}
+
+LatencyMatrix::LatencyMatrix(std::span<const ParticipantId> source_ids,
+                             const std::vector<ParticipantId>& core_ids,
+                             const std::vector<ParticipantId>& satellite_ids,
+                             const LatencySource& latency)
+    : source_(latency) {
+  Build(source_ids.size(), core_ids, satellite_ids, source_ids);
+}
+
+void LatencyMatrix::Build(std::size_t participant_space,
+                          const std::vector<ParticipantId>& core_ids,
+                          const std::vector<ParticipantId>& satellite_ids,
+                          std::span<const ParticipantId> source_ids) {
+  P2P_CHECK_MSG(source_ != nullptr, "building a LatencyMatrix from a null fn");
   dense_.assign(participant_space, kAbsent);
-  std::vector<ParticipantId> covered;
-  covered.reserve(core_ids.size() + satellite_ids.size());
+  source_ids_.reserve(core_ids.size() + satellite_ids.size());
   const auto cover = [&](const std::vector<ParticipantId>& ids) {
     for (const ParticipantId v : ids) {
       P2P_CHECK_MSG(v < participant_space, "id " << v << " out of range");
       if (dense_[v] != kAbsent) continue;  // collapse duplicates
-      dense_[v] = static_cast<std::uint32_t>(covered.size());
-      covered.push_back(v);
+      dense_[v] = static_cast<std::uint32_t>(source_ids_.size());
+      source_ids_.push_back(source_ids.empty() ? v : source_ids[v]);
     }
   };
   cover(core_ids);
-  core_n_ = static_cast<std::uint32_t>(covered.size());
+  core_n_ = static_cast<std::uint32_t>(source_ids_.size());
   cover(satellite_ids);  // a satellite already covered as core stays core
-  n_ = covered.size();
+  n_ = source_ids_.size();
 
   data_.assign(n_ * core_n_, 0.0);
   // Fill the strict lower triangle one row per source call — row i holds
-  // latency(covered[i], covered[j]) for j < min(i, core_n_), every write
-  // sequential — then mirror the core block with a blocked transpose so
+  // latency(source_ids_[i], source_ids_[j]) for j < min(i, core_n_), every
+  // write sequential — then mirror the core block with a blocked transpose so
   // neither side of the copy strides through cold cache lines.
-  const std::span<const ParticipantId> columns(covered);
+  const std::span<const ParticipantId> columns(source_ids_);
   for (std::size_t i = 1; i < n_; ++i) {
     const std::size_t jmax = std::min<std::size_t>(i, core_n_);
-    latency.Row(covered[i], columns.first(jmax), data_.data() + i * core_n_);
+    source_.Row(source_ids_[i], columns.first(jmax),
+                data_.data() + i * core_n_);
   }
   constexpr std::size_t kTile = 32;
   for (std::size_t ib = 0; ib < core_n_; ib += kTile) {
@@ -67,7 +82,10 @@ void LatencyMatrix::Column(ParticipantId b, std::span<const ParticipantId> as,
       out[k] = data_[static_cast<std::size_t>(dense_[as[k]]) * core_n_ + ib];
     return;
   }
-  source_.Column(b, as, out);
+  std::vector<ParticipantId> source_as(as.size());
+  for (std::size_t k = 0; k < as.size(); ++k)
+    source_as[k] = source_ids_[dense_[as[k]]];
+  source_.Column(source_ids_[ib], source_as, out);
   // Core entries come from b's own row, as operator() reads them.
   const double* row = data_.data() + static_cast<std::size_t>(ib) * core_n_;
   for (std::size_t k = 0; k < as.size(); ++k) {

@@ -143,6 +143,17 @@ class LatencyMatrix {
       : LatencyMatrix(participant_space, core_ids, satellite_ids,
                       OracleLatency(oracle)) {}
 
+  // Session-local view: participant v stands for source id
+  // `source_ids[v]`, so the participant space is source_ids.size() and the
+  // id map is sized by the session, not by the source's id space. The
+  // fill, the satellite↔satellite fallback and Column() query the source
+  // in its own ids (each dense index keeps its source id), so a row kernel
+  // still fills each row in one call.
+  LatencyMatrix(std::span<const ParticipantId> source_ids,
+                const std::vector<ParticipantId>& core_ids,
+                const std::vector<ParticipantId>& satellite_ids,
+                const LatencySource& latency);
+
   // Number of distinct covered ids (core + satellite).
   std::size_t size() const { return n_; }
   std::size_t core_size() const { return core_n_; }
@@ -158,7 +169,8 @@ class LatencyMatrix {
     std::uint32_t ia = dense_[a];
     std::uint32_t ib = dense_[b];
     if (ib >= core_n_) {
-      if (ia >= core_n_) return source_(a, b);  // satellite↔satellite: rare
+      if (ia >= core_n_)  // satellite↔satellite: rare
+        return source_(source_ids_[ia], source_ids_[ib]);
       std::swap(ia, ib);
     }
     return data_[static_cast<std::size_t>(ia) * core_n_ + ib];
@@ -194,12 +206,19 @@ class LatencyMatrix {
  private:
   static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
 
+  // `source_ids` empty: participant ids are the source's ids.
+  void Build(std::size_t participant_space,
+             const std::vector<ParticipantId>& core_ids,
+             const std::vector<ParticipantId>& satellite_ids,
+             std::span<const ParticipantId> source_ids);
+
   std::size_t n_ = 0;       // distinct covered ids
   std::uint32_t core_n_ = 0;
   std::vector<std::uint32_t> dense_;  // participant id -> dense index;
                                       // core ids occupy [0, core_n_)
-  std::vector<double> data_;          // n_ rows × core_n_ columns
-  LatencySource source_;              // satellite↔satellite fallback
+  std::vector<ParticipantId> source_ids_;  // dense index -> source id
+  std::vector<double> data_;               // n_ rows × core_n_ columns
+  LatencySource source_;                   // satellite↔satellite fallback
 };
 
 }  // namespace p2p::alm

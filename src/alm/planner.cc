@@ -1,6 +1,7 @@
 #include "alm/planner.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -16,40 +17,68 @@ LatencySource PlanInput::Truth() const {
   return OracleLatency(*oracle);
 }
 
-LatencySource LeafsetHybridLatency(const std::vector<char>& is_member,
-                                   LatencySource truth,
-                                   LatencySource estimate) {
-  LatencyFn pair = [&is_member, truth, estimate](ParticipantId a,
-                                                 ParticipantId b) {
-    return (is_member[a] && is_member[b]) ? truth(a, b) : estimate(a, b);
+namespace {
+
+// Both LeafsetHybridLatency forms; `is_member(v)` answers membership for a
+// participant id.
+template <typename IsMember>
+LatencySource HybridLatency(IsMember is_member, LatencySource truth,
+                            LatencySource estimate) {
+  LatencyFn pair = [is_member, truth, estimate](ParticipantId a,
+                                                ParticipantId b) {
+    return (is_member(a) && is_member(b)) ? truth(a, b) : estimate(a, b);
   };
   // A non-member row is all estimates; a member row is truth except at
   // non-member columns (none in a planning fill, whose columns are the
   // session's own members). Columns follow the same rule.
-  LatencyBatchFn row = [&is_member, truth, estimate](
+  LatencyBatchFn row = [is_member, truth, estimate](
                            ParticipantId a, std::span<const ParticipantId> bs,
                            double* out) {
-    if (!is_member[a]) {
+    if (!is_member(a)) {
       estimate.Row(a, bs, out);
       return;
     }
     truth.Row(a, bs, out);
     for (std::size_t k = 0; k < bs.size(); ++k)
-      if (!is_member[bs[k]]) out[k] = estimate(a, bs[k]);
+      if (!is_member(bs[k])) out[k] = estimate(a, bs[k]);
   };
-  LatencyBatchFn column = [&is_member, truth = std::move(truth),
+  LatencyBatchFn column = [is_member, truth = std::move(truth),
                            estimate = std::move(estimate)](
                               ParticipantId b,
                               std::span<const ParticipantId> as, double* out) {
-    if (!is_member[b]) {
+    if (!is_member(b)) {
       estimate.Column(b, as, out);
       return;
     }
     truth.Column(b, as, out);
     for (std::size_t k = 0; k < as.size(); ++k)
-      if (!is_member[as[k]]) out[k] = estimate(as[k], b);
+      if (!is_member(as[k])) out[k] = estimate(as[k], b);
   };
   return LatencySource(std::move(pair), std::move(row), std::move(column));
+}
+
+}  // namespace
+
+LatencySource LeafsetHybridLatency(const std::vector<char>& is_member,
+                                   LatencySource truth,
+                                   LatencySource estimate) {
+  return HybridLatency(
+      [&is_member](ParticipantId v) { return is_member[v] != 0; },
+      std::move(truth), std::move(estimate));
+}
+
+LatencySource LeafsetHybridLatency(std::vector<ParticipantId> sorted_members,
+                                   LatencySource truth,
+                                   LatencySource estimate) {
+  // Shared, so the three kernels (and every copy of the source) hold one
+  // list.
+  auto members = std::make_shared<const std::vector<ParticipantId>>(
+      std::move(sorted_members));
+  return HybridLatency(
+      [members](ParticipantId v) {
+        return std::binary_search(members->begin(), members->end(), v);
+      },
+      std::move(truth), std::move(estimate));
 }
 
 std::size_t MaxFanout(const MulticastTree& tree) {
@@ -146,30 +175,79 @@ PlanResult TreePlanner::DoPlan(const PlanInput& input) {
                 "PlanSession needs a true latency fn or an oracle");
   P2P_CHECK_MSG(!options_.use_estimates || input.estimated_latency != nullptr,
                 "Leafset strategies need an estimated latency");
-  // Every id is checked before the first write indexed by one (is_member).
+  // Every id is checked before it is mapped or read.
   const std::size_t space = input.degree_bounds.size();
   P2P_CHECK_MSG(input.root < space, "root id out of range");
   for (const ParticipantId m : input.members)
     P2P_CHECK_MSG(m < space, "member id " << m << " out of range");
   for (const ParticipantId h : input.helper_candidates)
     P2P_CHECK_MSG(h < space, "helper id " << h << " out of range");
+  for (const int b : input.degree_bounds) P2P_CHECK_MSG(b >= 0, "bad bound");
+  // The session (root and members), ascending. A member listed twice, or
+  // the root listed as a member, could never be placed: reject it here,
+  // before any matrix work.
+  std::vector<ParticipantId> session;
+  input.AppendAllMembers(session);
+  std::sort(session.begin(), session.end());
+  const auto dup = std::adjacent_find(session.begin(), session.end());
+  P2P_CHECK_MSG(dup == session.end(),
+                "duplicate member id " << *dup
+                                       << (*dup == input.root ? " (the root)"
+                                                              : ""));
   const LatencySource truth = input.Truth();
 
-  // Planning latency: true for oracle strategies; hybrid for Leafset.
-  std::vector<char> is_member;
-  LatencySource planning = truth;
-  if (options_.use_estimates) {
-    is_member.assign(space, 0);
-    is_member[input.root] = 1;
-    for (const ParticipantId m : input.members) is_member[m] = 1;
-    planning = LeafsetHybridLatency(is_member, truth, input.estimated_latency);
+  // The session's planning ids: the root, the members and (when used) the
+  // helper candidates, numbered 0..n-1 in ascending participant id order.
+  // Every plan structure below is sized by n. The numbering is monotone, so
+  // every tie-break that prefers the smaller id (AMCast's heap, the sorted
+  // helper scan) picks the same participant as it would in the caller's
+  // ids. `ids` maps back; matrices query their sources through it.
+  std::vector<ParticipantId> ids;
+  std::vector<ParticipantId> helper_ids;  // planning ids, ascending
+  if (!options_.use_helpers) {
+    ids = session;
+  } else {
+    std::vector<ParticipantId> helpers = input.helper_candidates;
+    if (!std::is_sorted(helpers.begin(), helpers.end()))
+      std::sort(helpers.begin(), helpers.end());
+    helpers.erase(std::unique(helpers.begin(), helpers.end()), helpers.end());
+    ids.reserve(session.size() + helpers.size());
+    helper_ids.reserve(helpers.size());
+    // Merge; a helper candidate that is also a session member keeps one id
+    // and stays a candidate.
+    std::size_t i = 0, j = 0;
+    while (i < session.size() || j < helpers.size()) {
+      const bool take_s = i < session.size() &&
+                          (j == helpers.size() || session[i] <= helpers[j]);
+      const bool take_h = j < helpers.size() &&
+                          (i == session.size() || helpers[j] <= session[i]);
+      ids.push_back(take_s ? session[i++] : helpers[j]);
+      if (take_h) {
+        helper_ids.push_back(ids.size() - 1);
+        ++j;
+      }
+    }
   }
+  const auto planning_id = [&ids](ParticipantId v) {
+    return static_cast<ParticipantId>(
+        std::lower_bound(ids.begin(), ids.end(), v) - ids.begin());
+  };
 
   AmcastInput ain;
-  ain.degree_bounds = input.degree_bounds;
-  ain.root = input.root;
-  ain.members = input.members;
-  if (options_.use_helpers) ain.helper_candidates = input.helper_candidates;
+  ain.degree_bounds.resize(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    ain.degree_bounds[i] = input.degree_bounds[ids[i]];
+  ain.root = planning_id(input.root);
+  ain.members.reserve(input.members.size());
+  for (const ParticipantId m : input.members)
+    ain.members.push_back(planning_id(m));
+  ain.helper_candidates = helper_ids;
+
+  // Planning latency: true for oracle strategies; hybrid for Leafset.
+  const LatencySource planning =
+      options_.use_estimates
+          ? LeafsetHybridLatency(session, truth, input.estimated_latency)
+          : truth;
 
   AmcastOptions aopt = input.amcast;
   aopt.selection = options_.use_helpers
@@ -182,20 +260,18 @@ PlanResult TreePlanner::DoPlan(const PlanInput& input) {
   // final planning-height evaluation) reads becomes a flat array load
   // instead of a std::function dispatch. Root and members are the core;
   // helper candidates are satellites (their pairwise block is not filled).
-  // The fill takes one row-kernel call per row: oracle rows, or the Leafset
-  // hybrid's truth and estimate rows.
+  // The fill takes one row-kernel call per row, in participant ids: oracle
+  // rows, or the Leafset hybrid's truth and estimate rows.
   std::vector<ParticipantId> core_ids;
-  input.AppendAllMembers(core_ids);
-  const std::vector<ParticipantId> satellite_ids =
-      aopt.selection != HelperSelection::kNone ? ain.helper_candidates
-                                               : std::vector<ParticipantId>{};
-  const LatencyMatrix planning_matrix(space, core_ids, satellite_ids,
-                                      planning);
+  core_ids.reserve(1 + ain.members.size());
+  core_ids.push_back(ain.root);
+  core_ids.insert(core_ids.end(), ain.members.begin(), ain.members.end());
+  const LatencyMatrix planning_matrix(ids, core_ids, helper_ids, planning);
 
   AmcastResult built = BuildAmcastTree(ain, planning_matrix, aopt);
 
-  PlanResult result{std::move(built.tree), 0.0, 0.0, built.helpers_used,
-                    {}, 0};
+  MulticastTree& tree = built.tree;
+  PlanResult result{MulticastTree(0), 0.0, 0.0, built.helpers_used, {}, 0};
   if (options_.use_adjust) {
     // Adjustment always runs on TRUE latencies: by this point every tree
     // node — helpers included — has been contacted to reserve its degree,
@@ -203,15 +279,19 @@ PlanResult TreePlanner::DoPlan(const PlanInput& input) {
     // membership. This is why the paper finds adjustment "remarkably
     // effective especially for Leafset": it repairs the damage done by
     // coordinate-estimate errors during helper selection.
-    const LatencyMatrix true_matrix(space, result.tree.members(), truth);
-    result.adjust_stats = AdjustTree(result.tree, input.degree_bounds,
-                                     true_matrix, input.adjust);
-    result.height_true = result.tree.Height(true_matrix);
+    const LatencyMatrix true_matrix(ids, tree.members(), {}, truth);
+    result.adjust_stats =
+        AdjustTree(tree, ain.degree_bounds, true_matrix, input.adjust);
+    result.height_true = tree.Height(true_matrix);
   } else {
     // One O(members) evaluation pass; not worth a pairwise matrix fill.
-    result.height_true = result.tree.Height(truth.pair());
+    result.height_true = tree.Height([&](ParticipantId a, ParticipantId b) {
+      return truth(ids[a], ids[b]);
+    });
   }
-  result.height_planning = result.tree.Height(planning_matrix);
+  result.height_planning = tree.Height(planning_matrix);
+  tree.Relabel(space, ids);
+  result.tree = std::move(tree);
   if (input.metrics != nullptr) {
     input.metrics->counter("alm.sessions.planned").Inc();
     if (options_.use_adjust)

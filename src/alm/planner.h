@@ -34,7 +34,13 @@
 namespace p2p::alm {
 
 struct PlanInput {
-  std::vector<int> degree_bounds;  // by participant id
+  // Degree bound by participant id. Every entry must be non-negative, but
+  // a tree plan reads only the root's, the members' and the helper
+  // candidates' entries: it renumbers those participants 0..n-1 in
+  // ascending id order (the session's planning ids) and sizes all of its
+  // own state by n, not by degree_bounds.size(). Entries of other ids may
+  // hold anything non-negative.
+  std::vector<int> degree_bounds;
   ParticipantId root = kNoParticipant;
   std::vector<ParticipantId> members;  // excluding root
   std::vector<ParticipantId> helper_candidates;
@@ -92,6 +98,13 @@ struct PlanResult {
 // from the truth and estimate rows (columns); `is_member` must outlive the
 // source.
 LatencySource LeafsetHybridLatency(const std::vector<char>& is_member,
+                                   LatencySource truth,
+                                   LatencySource estimate);
+// The same source with the membership given as the session's ascending,
+// duplicate-free member ids (root included), which it keeps: its state is
+// sized by the session instead of by the id space. TreePlanner plans with
+// this form.
+LatencySource LeafsetHybridLatency(std::vector<ParticipantId> sorted_members,
                                    LatencySource truth,
                                    LatencySource estimate);
 

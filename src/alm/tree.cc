@@ -6,58 +6,40 @@
 #include "util/check.h"
 
 namespace p2p::alm {
-namespace {
-
-// BFS height computation shared by the LatencyFn and LatencyMatrix
-// overloads; `Lat` only needs operator()(ParticipantId, ParticipantId).
-template <typename Lat>
-std::vector<double> ComputeHeightsImpl(
-    const std::vector<std::vector<ParticipantId>>& children,
-    ParticipantId root, std::size_t member_count, const Lat& latency) {
-  std::vector<double> h(children.size(), 0.0);
-  // members_ is insertion-ordered but Reparent/SwapPositions break the
-  // parent-before-child property, so walk top-down via BFS from the root.
-  if (root == kNoParticipant) return h;
-  std::vector<ParticipantId> queue{root};
-  std::size_t head = 0;
-  while (head < queue.size()) {
-    const ParticipantId v = queue[head++];
-    for (const ParticipantId c : children[v]) {
-      h[c] = h[v] + latency(v, c);
-      queue.push_back(c);
-    }
-  }
-  P2P_CHECK_MSG(queue.size() == member_count, "tree contains a cycle");
-  return h;
-}
-
-}  // namespace
 
 MulticastTree::MulticastTree(std::size_t participant_count)
-    : parent_(participant_count, kNoParticipant),
-      children_(participant_count) {}
+    : space_(participant_count) {}
 
 bool MulticastTree::Contains(ParticipantId v) const {
-  P2P_CHECK(v < parent_.size());
-  return parent_[v] != kNoParticipant;
+  P2P_CHECK(v < space_);
+  return v < slot_.size() && slot_[v] != kNoSlot;
+}
+
+std::uint32_t MulticastTree::SlotOf(ParticipantId v) const {
+  P2P_CHECK(Contains(v));
+  return slot_[v];
+}
+
+void MulticastTree::Insert(ParticipantId v, ParticipantId parent) {
+  if (v >= slot_.size()) slot_.resize(v + 1, kNoSlot);
+  slot_[v] = static_cast<std::uint32_t>(members_.size());
+  members_.push_back(v);
+  parents_.push_back(parent);
+  children_.emplace_back();
 }
 
 void MulticastTree::SetRoot(ParticipantId r) {
   P2P_CHECK_MSG(root_ == kNoParticipant, "root already set");
-  P2P_CHECK(r < parent_.size());
+  P2P_CHECK(r < space_);
   root_ = r;
-  parent_[r] = r;  // root is its own parent (sentinel for "in tree")
-  members_.push_back(r);
-  ++member_count_;
+  Insert(r, kNoParticipant);
 }
 
 void MulticastTree::AddChild(ParticipantId parent, ParticipantId v) {
   P2P_CHECK_MSG(Contains(parent), "parent " << parent << " not in tree");
   P2P_CHECK_MSG(!Contains(v), "node " << v << " already in tree");
-  parent_[v] = parent;
-  children_[parent].push_back(v);
-  members_.push_back(v);
-  ++member_count_;
+  children_[slot_[parent]].push_back(v);
+  Insert(v, parent);
 }
 
 void MulticastTree::Reparent(ParticipantId v, ParticipantId new_parent) {
@@ -65,42 +47,45 @@ void MulticastTree::Reparent(ParticipantId v, ParticipantId new_parent) {
   P2P_CHECK(Contains(new_parent));
   P2P_CHECK_MSG(!InSubtree(new_parent, v),
                 "reparenting " << v << " under its own descendant");
-  auto& sibs = children_[parent_[v]];
+  const std::uint32_t sv = slot_[v];
+  auto& sibs = children_[slot_[parents_[sv]]];
   sibs.erase(std::find(sibs.begin(), sibs.end(), v));
-  parent_[v] = new_parent;
-  children_[new_parent].push_back(v);
+  parents_[sv] = new_parent;
+  children_[slot_[new_parent]].push_back(v);
 }
 
 void MulticastTree::SwapPositions(ParticipantId a, ParticipantId b) {
   P2P_CHECK(Contains(a) && Contains(b));
   if (a == b) return;
-  P2P_CHECK_MSG(parent_[a] != b && parent_[b] != a,
+  const std::uint32_t sa = slot_[a];
+  const std::uint32_t sb = slot_[b];
+  P2P_CHECK_MSG(parents_[sa] != b && parents_[sb] != a,
                 "cannot swap a parent with its direct child");
   P2P_CHECK_MSG(a != root_ && b != root_, "cannot swap the root");
 
-  const ParticipantId pa = parent_[a];
-  const ParticipantId pb = parent_[b];
+  const ParticipantId pa = parents_[sa];
+  const ParticipantId pb = parents_[sb];
   // Swap the parent links (careful when a and b are siblings: swapping the
   // two entries in one child list must not match the freshly written one).
   if (pa == pb) {
-    auto& cs = children_[pa];
+    auto& cs = children_[slot_[pa]];
     std::iter_swap(std::find(cs.begin(), cs.end(), a),
                    std::find(cs.begin(), cs.end(), b));
   } else {
     auto replace_child = [&](ParticipantId p, ParticipantId from,
                              ParticipantId to) {
-      auto& cs = children_[p];
+      auto& cs = children_[slot_[p]];
       *std::find(cs.begin(), cs.end(), from) = to;
     };
     replace_child(pa, a, b);
     replace_child(pb, b, a);
-    parent_[a] = pb;
-    parent_[b] = pa;
+    parents_[sa] = pb;
+    parents_[sb] = pa;
   }
   // Swap the children lists; their members' parent pointers follow.
-  std::swap(children_[a], children_[b]);
-  for (const ParticipantId c : children_[a]) parent_[c] = a;
-  for (const ParticipantId c : children_[b]) parent_[c] = b;
+  std::swap(children_[sa], children_[sb]);
+  for (const ParticipantId c : children_[sa]) parents_[slot_[c]] = a;
+  for (const ParticipantId c : children_[sb]) parents_[slot_[c]] = b;
 }
 
 void MulticastTree::SwapSubtrees(ParticipantId a, ParticipantId b) {
@@ -109,47 +94,51 @@ void MulticastTree::SwapSubtrees(ParticipantId a, ParticipantId b) {
   P2P_CHECK_MSG(a != root_ && b != root_, "cannot swap the root's subtree");
   P2P_CHECK_MSG(!InSubtree(a, b) && !InSubtree(b, a),
                 "subtree swap between ancestor and descendant");
-  const ParticipantId pa = parent_[a];
-  const ParticipantId pb = parent_[b];
+  const std::uint32_t sa = slot_[a];
+  const std::uint32_t sb = slot_[b];
+  const ParticipantId pa = parents_[sa];
+  const ParticipantId pb = parents_[sb];
   if (pa == pb) return;  // same parent: the swap changes nothing
-  auto& ca = children_[pa];
-  auto& cb = children_[pb];
+  auto& ca = children_[slot_[pa]];
+  auto& cb = children_[slot_[pb]];
   *std::find(ca.begin(), ca.end(), a) = b;
   *std::find(cb.begin(), cb.end(), b) = a;
-  parent_[a] = pb;
-  parent_[b] = pa;
+  parents_[sa] = pb;
+  parents_[sb] = pa;
 }
 
 void MulticastTree::RemoveLeaf(ParticipantId v) {
   P2P_CHECK(Contains(v));
   P2P_CHECK_MSG(v != root_, "cannot remove the root");
-  P2P_CHECK_MSG(children_[v].empty(), "node " << v << " has children");
-  auto& sibs = children_[parent_[v]];
+  const std::uint32_t sv = slot_[v];
+  P2P_CHECK_MSG(children_[sv].empty(), "node " << v << " has children");
+  auto& sibs = children_[slot_[parents_[sv]]];
   sibs.erase(std::find(sibs.begin(), sibs.end(), v));
-  parent_[v] = kNoParticipant;
-  members_.erase(std::find(members_.begin(), members_.end(), v));
-  --member_count_;
+  // Records stay in insertion order: close the gap and re-index the
+  // members behind it.
+  members_.erase(members_.begin() + sv);
+  parents_.erase(parents_.begin() + sv);
+  children_.erase(children_.begin() + sv);
+  slot_[v] = kNoSlot;
+  for (std::size_t s = sv; s < members_.size(); ++s)
+    slot_[members_[s]] = static_cast<std::uint32_t>(s);
 }
 
 ParticipantId MulticastTree::parent(ParticipantId v) const {
-  P2P_CHECK(Contains(v));
-  return v == root_ ? kNoParticipant : parent_[v];
+  return parents_[SlotOf(v)];
 }
 
 const std::vector<ParticipantId>& MulticastTree::children(
     ParticipantId v) const {
-  P2P_CHECK(Contains(v));
-  return children_[v];
+  return children_[SlotOf(v)];
 }
 
 int MulticastTree::Degree(ParticipantId v) const {
-  P2P_CHECK(Contains(v));
-  return static_cast<int>(children_[v].size()) + (v == root_ ? 0 : 1);
+  return static_cast<int>(children_[SlotOf(v)].size()) + (v == root_ ? 0 : 1);
 }
 
 bool MulticastTree::IsLeaf(ParticipantId v) const {
-  P2P_CHECK(Contains(v));
-  return children_[v].empty();
+  return children_[SlotOf(v)].empty();
 }
 
 bool MulticastTree::InSubtree(ParticipantId v, ParticipantId ancestor) const {
@@ -158,18 +147,67 @@ bool MulticastTree::InSubtree(ParticipantId v, ParticipantId ancestor) const {
   for (;;) {
     if (cur == ancestor) return true;
     if (cur == root_) return false;
-    cur = parent_[cur];
+    cur = parents_[slot_[cur]];
   }
+}
+
+void MulticastTree::Relabel(std::size_t participant_space,
+                            std::span<const ParticipantId> ids) {
+  // Check and index the new ids first, so a bad map leaves the tree as it
+  // was.
+  ParticipantId top = 0;
+  for (const ParticipantId v : members_) {
+    P2P_CHECK_MSG(v < ids.size(), "no new id for participant " << v);
+    P2P_CHECK_MSG(ids[v] < participant_space,
+                  "new id " << ids[v] << " out of range");
+    top = std::max(top, ids[v]);
+  }
+  std::vector<std::uint32_t> slot(members_.empty() ? 0 : top + 1, kNoSlot);
+  for (std::size_t s = 0; s < members_.size(); ++s) {
+    const ParticipantId to = ids[members_[s]];
+    P2P_CHECK_MSG(slot[to] == kNoSlot, "two members relabeled to " << to);
+    slot[to] = static_cast<std::uint32_t>(s);
+  }
+  // Parents and children are members, so each of their ids maps too.
+  for (std::size_t s = 0; s < members_.size(); ++s) {
+    members_[s] = ids[members_[s]];
+    if (parents_[s] != kNoParticipant) parents_[s] = ids[parents_[s]];
+    for (ParticipantId& c : children_[s]) c = ids[c];
+  }
+  if (root_ != kNoParticipant) root_ = ids[root_];
+  space_ = participant_space;
+  slot_ = std::move(slot);
+}
+
+// BFS height computation shared by the LatencyFn and LatencyMatrix
+// overloads; `Lat` only needs operator()(ParticipantId, ParticipantId).
+template <typename Lat>
+std::vector<double> MulticastTree::HeightsImpl(const Lat& latency) const {
+  std::vector<double> h(space_, 0.0);
+  // members_ is insertion-ordered but Reparent/SwapPositions break the
+  // parent-before-child property, so walk top-down via BFS from the root.
+  if (root_ == kNoParticipant) return h;
+  std::vector<ParticipantId> queue{root_};
+  std::size_t head = 0;
+  while (head < queue.size()) {
+    const ParticipantId v = queue[head++];
+    for (const ParticipantId c : children_[slot_[v]]) {
+      h[c] = h[v] + latency(v, c);
+      queue.push_back(c);
+    }
+  }
+  P2P_CHECK_MSG(queue.size() == members_.size(), "tree contains a cycle");
+  return h;
 }
 
 std::vector<double> MulticastTree::ComputeHeights(
     const LatencyFn& latency) const {
-  return ComputeHeightsImpl(children_, root_, member_count_, latency);
+  return HeightsImpl(latency);
 }
 
 std::vector<double> MulticastTree::ComputeHeights(
     const LatencyMatrix& latency) const {
-  return ComputeHeightsImpl(children_, root_, member_count_, latency);
+  return HeightsImpl(latency);
 }
 
 double MulticastTree::Height(const LatencyFn& latency) const {
@@ -188,29 +226,36 @@ double MulticastTree::Height(const LatencyMatrix& latency) const {
 
 void MulticastTree::Validate(const std::vector<int>& degree_bounds) const {
   P2P_CHECK(root_ != kNoParticipant);
-  P2P_CHECK(degree_bounds.size() == parent_.size());
-  std::size_t counted = 0;
-  for (ParticipantId v = 0; v < parent_.size(); ++v) {
-    if (!Contains(v)) {
-      P2P_CHECK_MSG(children_[v].empty(), "non-member " << v << " has children");
-      continue;
-    }
-    ++counted;
+  P2P_CHECK(degree_bounds.size() == space_);
+  for (std::size_t s = 0; s < members_.size(); ++s) {
+    const ParticipantId v = members_[s];
+    P2P_CHECK_MSG(Contains(v) && slot_[v] == s, "slot index broken at " << v);
     P2P_CHECK_MSG(Degree(v) <= degree_bounds[v],
                   "node " << v << " degree " << Degree(v) << " exceeds bound "
                           << degree_bounds[v]);
-    for (const ParticipantId c : children_[v])
-      P2P_CHECK_MSG(parent_[c] == v, "broken parent link at " << c);
+    for (const ParticipantId c : children_[s]) {
+      P2P_CHECK_MSG(Contains(c), "non-member " << c << " listed as a child");
+      P2P_CHECK_MSG(parents_[slot_[c]] == v, "broken parent link at " << c);
+    }
     if (v != root_) {
-      P2P_CHECK_MSG(Contains(parent_[v]), "orphan node " << v);
-      const auto& sibs = children_[parent_[v]];
+      P2P_CHECK_MSG(Contains(parents_[s]), "orphan node " << v);
+      const auto& sibs = children_[slot_[parents_[s]]];
       P2P_CHECK_MSG(std::count(sibs.begin(), sibs.end(), v) == 1,
                     "child-list inconsistency at " << v);
     }
   }
-  P2P_CHECK(counted == member_count_);
   // Acyclicity + connectivity via the BFS in ComputeHeights.
   (void)ComputeHeights([](ParticipantId, ParticipantId) { return 1.0; });
+}
+
+std::size_t MulticastTree::MemoryBytes() const {
+  std::size_t bytes = sizeof(*this) +
+                      slot_.capacity() * sizeof(std::uint32_t) +
+                      members_.capacity() * sizeof(ParticipantId) +
+                      parents_.capacity() * sizeof(ParticipantId) +
+                      children_.capacity() * sizeof(children_[0]);
+  for (const auto& cs : children_) bytes += cs.capacity() * sizeof(cs[0]);
+  return bytes;
 }
 
 }  // namespace p2p::alm

@@ -1,14 +1,25 @@
 // Multicast tree representation for the degree-bounded minimum-height tree
 // (DB-MHT) problem of paper §5.1.
 //
-// Participants live in a dense index space 0..P-1 (session members plus
-// helper candidates); a tree spans a subset of them. "Height" of a node is
-// its aggregated latency from the root (Definition 1); the tree's height is
-// the maximum over its nodes, attained at some leaf.
+// Participants live in an index space 0..P-1 (session members plus helper
+// candidates); a tree spans a subset of them. "Height" of a node is its
+// aggregated latency from the root (Definition 1); the tree's height is the
+// maximum over its nodes, attained at some leaf.
+//
+// Storage is sized by the tree, not by P: one record per tree member
+// (parent and child list, kept in insertion order) plus a 32-bit slot index
+// that maps a participant id to its record. The index grows on demand up to
+// the largest id that ever joined, so it costs at most 4 B per id of the
+// space and nothing for ids above the largest member. A tree planned over a
+// 10k-host pool for a 20-member session therefore holds ~20 records and at
+// most a 40 KB index, where a per-id parent and child list would hold
+// 320 KB.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 namespace p2p::alm {
@@ -26,11 +37,11 @@ class LatencyMatrix;  // flat fast-path view, see alm/latency_matrix.h
 class MulticastTree {
  public:
   // `participant_count` sizes the index space; nodes join via SetRoot /
-  // AddChild.
+  // AddChild. Nothing is allocated per id up front.
   explicit MulticastTree(std::size_t participant_count);
 
-  std::size_t participant_space() const { return parent_.size(); }
-  std::size_t size() const { return member_count_; }
+  std::size_t participant_space() const { return space_; }
+  std::size_t size() const { return members_.size(); }
   bool Contains(ParticipantId v) const;
 
   ParticipantId root() const { return root_; }
@@ -70,6 +81,14 @@ class MulticastTree {
   // Members in insertion order (root first).
   const std::vector<ParticipantId>& members() const { return members_; }
 
+  // Move the tree to another id space, in place: participant v becomes
+  // `ids[v]` (ids must be injective over the members and
+  // < participant_space). Member order, parents and child order carry
+  // over unchanged. Planners build a tree in a session's own compact id
+  // space and return it in the caller's ids this way.
+  void Relabel(std::size_t participant_space,
+               std::span<const ParticipantId> ids);
+
   // Aggregated-latency heights for every member; index by participant id
   // (non-members hold 0). Root has height 0. The LatencyMatrix overloads
   // are the fast path (array indexing instead of std::function dispatch);
@@ -84,12 +103,30 @@ class MulticastTree {
   // `degree_bounds` indexed by participant id.
   void Validate(const std::vector<int>& degree_bounds) const;
 
+  // Resident bytes: the member records, their child lists, the slot index
+  // and this object.
+  std::size_t MemoryBytes() const;
+
  private:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  // Record index of a member (checked).
+  std::uint32_t SlotOf(ParticipantId v) const;
+  // Append a record for `v` (not yet in the tree) under `parent`.
+  void Insert(ParticipantId v, ParticipantId parent);
+  template <typename Lat>
+  std::vector<double> HeightsImpl(const Lat& latency) const;
+
+  std::size_t space_ = 0;
   ParticipantId root_ = kNoParticipant;
-  std::vector<ParticipantId> parent_;  // kNoParticipant = not in tree
-  std::vector<std::vector<ParticipantId>> children_;
+  // Participant id -> record index; kNoSlot (or past the end) = not in
+  // the tree.
+  std::vector<std::uint32_t> slot_;
+  // Member records, one per tree node in insertion order: the id, its
+  // parent (kNoParticipant at the root) and its children.
   std::vector<ParticipantId> members_;
-  std::size_t member_count_ = 0;
+  std::vector<ParticipantId> parents_;
+  std::vector<std::vector<ParticipantId>> children_;
 };
 
 }  // namespace p2p::alm

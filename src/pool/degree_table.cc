@@ -36,6 +36,16 @@ int DegreeRegistry::AvailableFor(std::size_t node, int priority,
   return n;
 }
 
+const std::vector<std::size_t>& DegreeRegistry::NodesWithBoundAtLeast(
+    int threshold) {
+  const auto [it, inserted] = bound_at_least_.try_emplace(threshold);
+  if (inserted) {
+    for (std::size_t n = 0; n < tables_.size(); ++n)
+      if (tables_[n].total >= threshold) it->second.push_back(n);
+  }
+  return it->second;
+}
+
 ClaimResult DegreeRegistry::Claim(std::size_t node, alm::SessionId session,
                                   int priority, bool is_member) {
   auto& slots = slots_.at(node);

@@ -2,6 +2,12 @@
 // table (paper Figure 9). Task managers claim and release degrees here;
 // the SOMO report plumbing snapshots these tables into NodeReports.
 //
+// The registry also owns the static degree bounds (each table's total,
+// fixed at construction). No claim can make a node offer more than its
+// bound, so a task manager looking for helpers that offer at least k
+// degrees need only weigh the nodes whose bound reaches k:
+// NodesWithBoundAtLeast(k) lists them, built once per k.
+//
 // Priority semantics (paper §5.3): a claim at priority p may preempt a slot
 // held at a numerically larger (= lower-class) priority. Claims carry a
 // member flag — a session holds priority 1 *as a member* at its own nodes,
@@ -11,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -37,8 +44,15 @@ class DegreeRegistry {
   int bound(std::size_t node) const { return tables_.at(node).total; }
 
   // Degrees a claim (priority, is_member) could obtain at `node`,
-  // counting its own already-held slots as unavailable.
+  // counting its own already-held slots as unavailable. Never more than
+  // bound(node).
   int AvailableFor(std::size_t node, int priority, bool is_member) const;
+
+  // Ascending ids of the nodes whose static bound is at least `threshold`
+  // (every node when threshold <= 0). The first call per threshold builds
+  // the list; later calls return it. Not safe to call concurrently: fetch
+  // the list before fanning work out over threads.
+  const std::vector<std::size_t>& NodesWithBoundAtLeast(int threshold);
 
   // Claim one degree at `node` for `session` with the given effective
   // priority. Prefers free slots; otherwise preempts the weakest
@@ -77,6 +91,8 @@ class DegreeRegistry {
   // ReleaseSession (repeats and since-preempted claims included): the only
   // nodes that can hold its slots.
   std::unordered_map<alm::SessionId, std::vector<std::size_t>> claimed_;
+  // NodesWithBoundAtLeast lists, by threshold.
+  std::map<int, std::vector<std::size_t>> bound_at_least_;
 
   void SyncTable(std::size_t node);
 };

@@ -62,6 +62,11 @@ MultiSessionResult RunMultiSessionExperiment(
     shards.resize(specs.size());
     for (auto& shard : shards) shard = std::make_unique<obs::MetricsRegistry>();
   }
+  // The upper bound's helper pool: every node whose static bound reaches
+  // the helper threshold (fetched here, before any fan-out).
+  const std::vector<std::size_t>& helper_pool =
+      pool.registry().NodesWithBoundAtLeast(
+          params.options.helper_min_available);
   const auto compute_bounds = [&](std::size_t s) {
     const auto& spec = specs[s];
     alm::PlanInput in;
@@ -93,11 +98,9 @@ MultiSessionResult RunMultiSessionExperiment(
       alm::PlanInput solo = in;
       std::vector<alm::ParticipantId> all;
       spec.AppendAllMembers(all);
-      std::vector<char> member(pool.size(), 0);
-      for (const auto m : all) member[m] = 1;
-      for (std::size_t v = 0; v < pool.size(); ++v) {
-        if (!member[v] &&
-            pool.degree_bound(v) >= params.options.helper_min_available)
+      std::sort(all.begin(), all.end());
+      for (const std::size_t v : helper_pool) {
+        if (!std::binary_search(all.begin(), all.end(), v))
           solo.helper_candidates.push_back(v);
       }
       solo.estimated_latency = pool.EstimatedLatencyFn();

@@ -9,8 +9,7 @@ namespace p2p::pool {
 
 TaskManager::TaskManager(ResourcePool& pool, alm::SessionSpec spec,
                          TaskManagerOptions options)
-    : pool_(pool), spec_(std::move(spec)), options_(std::move(options)),
-      tree_(pool.size()) {
+    : pool_(pool), spec_(std::move(spec)), options_(std::move(options)) {
   P2P_CHECK(spec_.root < pool_.size());
   // "tree" keeps the per-task-manager Strategy knob meaningful; any other
   // registry name takes that planner's own defaults.
@@ -23,27 +22,44 @@ TaskManager::TaskManager(ResourcePool& pool, alm::SessionSpec spec,
                  : alm::CreatePlanner(planner_name);
   P2P_CHECK(spec_.priority >= somo::kHighestPriority &&
             spec_.priority <= somo::kLowestPriority);
-  is_member_.assign(pool_.size(), 0);
-  is_member_[spec_.root] = 1;
-  for (const alm::ParticipantId m : spec_.members) {
+  for (const alm::ParticipantId m : spec_.members)
     P2P_CHECK(m < pool_.size() && m != spec_.root);
-    is_member_[m] = 1;
-  }
+  // A member listed twice could never be placed, so every Schedule would
+  // fail: reject the spec before the market admits it.
+  spec_.AppendAllMembers(session_);
+  std::sort(session_.begin(), session_.end());
+  const auto dup = std::adjacent_find(session_.begin(), session_.end());
+  P2P_CHECK_MSG(dup == session_.end(), "duplicate member id " << *dup);
 }
 
 bool TaskManager::IsMember(alm::ParticipantId v) const {
-  return is_member_[v] != 0;
+  return std::binary_search(session_.begin(), session_.end(), v);
+}
+
+int TaskManager::StreamCapped(std::size_t v, int bound) const {
+  if (options_.stream_kbps <= 0.0) return bound;
+  // Cap by the node's advertised uplink: every CHILD edge carries one
+  // outgoing copy of the stream (the parent edge consumes downlink, so
+  // non-root nodes get +1 incident edge on top of the child cap).
+  const auto& est = pool_.bandwidth_estimates().estimate(v);
+  const double up =
+      est.up_samples > 0 ? est.up_kbps : pool_.bandwidths().host(v).up_kbps;
+  const int child_cap = static_cast<int>(up / options_.stream_kbps);
+  const int allowed = v == spec_.root ? child_cap : child_cap + 1;
+  return std::min(bound, allowed);
 }
 
 double TaskManager::AmcastBaselineHeight() {
   if (amcast_baseline_ >= 0.0) return amcast_baseline_;
-  alm::AmcastInput in;
+  alm::PlanInput in;
   in.degree_bounds = pool_.degree_bounds();
   in.root = spec_.root;
   in.members = spec_.members;
-  const alm::AmcastResult base =
-      BuildAmcastTree(in, pool_.TrueLatencyFn(), alm::AmcastOptions{});
-  amcast_baseline_ = base.tree.Height(pool_.TrueLatencyFn());
+  in.oracle = &pool_.oracle();
+  amcast_baseline_ =
+      alm::TreePlanner(alm::OptionsForStrategy(alm::Strategy::kAmcast))
+          .Plan(in)
+          .height_true;
   return amcast_baseline_;
 }
 
@@ -56,61 +72,66 @@ ScheduleOutcome TaskManager::Schedule(const somo::AggregateReport* view) {
   reg.ReleaseSession(spec_.id);
   scheduled_ = false;
 
-  // When planning from a SOMO snapshot, index the advertised availability
-  // by node (degrees free or preemptible at this session's priority,
-  // straight off the view's degree columns). Nodes absent from the view
-  // are treated as unavailable (the newscast has not reported them yet;
-  // advertised[n] stays -1).
-  std::vector<int> advertised;
-  if (view != nullptr) {
-    advertised.assign(pool_.size(), -1);
+  // Effective degree bounds under current contention. A member node grants
+  // the session its full bound (member claims dominate), read live even
+  // when planning from a view: sessions talk to their own members
+  // directly. Elsewhere the session can use free degrees plus degrees
+  // preemptible at its priority. Only the session's and the weighed
+  // candidates' entries are written; the planner reads no others.
+  alm::PlanInput in;
+  in.degree_bounds.resize(pool_.size());
+  for (const alm::ParticipantId v : session_) {
+    in.degree_bounds[v] = StreamCapped(
+        v, reg.AvailableFor(v, somo::kHighestPriority, true));
+  }
+  // A non-member qualifies as helper candidate when its bound reaches the
+  // threshold. Nodes are weighed in ascending id order, so the sorted
+  // member list is walked alongside instead of searched.
+  const int threshold = options_.helper_min_available;
+  std::size_t member_at = 0;
+  const auto weigh = [&](std::size_t v, int available) {
+    while (member_at < session_.size() && session_[member_at] < v) ++member_at;
+    if (member_at < session_.size() && session_[member_at] == v) return;
+    const int bound = StreamCapped(v, available);
+    in.degree_bounds[v] = bound;
+    if (bound >= threshold) in.helper_candidates.push_back(v);
+  };
+  if (view == nullptr) {
+    // AvailableFor never exceeds a node's static bound, so only the nodes
+    // whose bound reaches the threshold can qualify.
+    for (const std::size_t v : reg.NodesWithBoundAtLeast(threshold))
+      weigh(v, reg.AvailableFor(v, spec_.priority, false));
+  } else {
+    // The availability the root's aggregate advertised: degrees free or
+    // preemptible at this session's priority, straight off the view's
+    // degree columns. A node's last record wins; a negative count plans
+    // as 0. The view may promise more than the static bound, so its own
+    // entries are the candidates.
+    std::vector<std::pair<std::size_t, int>> advertised;
+    advertised.reserve(view->size());
     for (std::size_t i = 0; i < view->size(); ++i) {
       const dht::NodeIndex n = view->node(i);
-      if (n >= advertised.size()) continue;
+      if (n >= pool_.size()) continue;
       const auto slots = view->degree_slots(i);
       int avail = view->degrees_total(i) - static_cast<int>(slots.size());
       for (const auto& s : slots) {
         if (s.priority > spec_.priority) ++avail;
       }
-      advertised[n] = avail;
+      advertised.emplace_back(n, std::max(avail, 0));
     }
-  }
-
-  // Effective degree bounds under current contention: a member node grants
-  // the session its full bound (member claims dominate); elsewhere the
-  // session can use free degrees plus degrees preemptible at its priority.
-  alm::PlanInput in;
-  in.degree_bounds.resize(pool_.size());
-  for (std::size_t v = 0; v < pool_.size(); ++v) {
-    if (IsMember(v)) {
-      // Sessions talk to their own members directly: live truth.
-      in.degree_bounds[v] =
-          reg.AvailableFor(v, somo::kHighestPriority, true);
-    } else if (view != nullptr) {
-      in.degree_bounds[v] = advertised[v] >= 0 ? advertised[v] : 0;
-    } else {
-      in.degree_bounds[v] = reg.AvailableFor(v, spec_.priority, false);
-    }
-    if (options_.stream_kbps > 0.0) {
-      // Cap by the node's advertised uplink: every CHILD edge carries one
-      // outgoing copy of the stream (the parent edge consumes downlink,
-      // so non-root nodes get +1 incident edge on top of the child cap).
-      const auto& est = pool_.bandwidth_estimates().estimate(v);
-      const double up =
-          est.up_samples > 0 ? est.up_kbps
-                             : pool_.bandwidths().host(v).up_kbps;
-      const int child_cap = static_cast<int>(up / options_.stream_kbps);
-      const int allowed = v == spec_.root ? child_cap : child_cap + 1;
-      in.degree_bounds[v] = std::min(in.degree_bounds[v], allowed);
+    std::stable_sort(
+        advertised.begin(), advertised.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    // Nodes the view omits (the newscast has not reported them yet) are
+    // not candidates; their entries stay 0.
+    for (std::size_t k = 0; k < advertised.size(); ++k) {
+      const auto [v, avail] = advertised[k];
+      if (k + 1 < advertised.size() && advertised[k + 1].first == v) continue;
+      weigh(v, avail);
     }
   }
   in.root = spec_.root;
   in.members = spec_.members;
-  for (std::size_t v = 0; v < pool_.size(); ++v) {
-    if (IsMember(v)) continue;
-    if (in.degree_bounds[v] >= options_.helper_min_available)
-      in.helper_candidates.push_back(v);
-  }
   // The oracle itself, not TrueLatencyFn(): same values, but planning fills
   // read it through its row kernel, as they read the coordinates' estimates.
   in.oracle = &pool_.oracle();

@@ -4,6 +4,13 @@
 // the degrees the plan needs, and records which sessions it preempted so
 // the market layer can make the victims replan. "Global scheduling is
 // never attempted."
+//
+// A schedule costs what the session and its helper candidates cost, not
+// what the pool costs: bounds are computed only for the root, the members
+// and the nodes whose static bound reaches helper_min_available (the
+// registry's NodesWithBoundAtLeast list), and the planner works in the
+// session's own planning ids. A task manager keeps its members as a sorted
+// list and its tree as member records plus the tree's 4 B-per-id index.
 #pragma once
 
 #include <memory>
@@ -87,13 +94,15 @@ class TaskManager {
 
  private:
   bool IsMember(alm::ParticipantId v) const;
+  // `bound` capped by the node's uplink when a stream rate is set.
+  int StreamCapped(std::size_t v, int bound) const;
 
   ResourcePool& pool_;
   alm::SessionSpec spec_;
   TaskManagerOptions options_;
   std::unique_ptr<alm::Planner> planner_;
-  std::vector<char> is_member_;
-  alm::MulticastTree tree_;
+  std::vector<alm::ParticipantId> session_;  // root + members, ascending
+  alm::MulticastTree tree_{0};
   bool scheduled_ = false;
   double height_true_ = 0.0;
   std::size_t helpers_used_ = 0;

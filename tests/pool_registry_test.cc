@@ -141,6 +141,22 @@ TEST(DegreeRegistry, ZeroBoundNodeUnclaimable) {
   EXPECT_EQ(reg.AvailableFor(0, 1, true), 0);
 }
 
+TEST(DegreeRegistry, NodesWithBoundAtLeastListsAscendingNodes) {
+  DegreeRegistry reg({4, 2, 9, 0, 4, 3});
+  EXPECT_EQ(reg.NodesWithBoundAtLeast(4),
+            (std::vector<std::size_t>{0, 2, 4}));
+  EXPECT_EQ(reg.NodesWithBoundAtLeast(9), (std::vector<std::size_t>{2}));
+  EXPECT_TRUE(reg.NodesWithBoundAtLeast(10).empty());
+  EXPECT_EQ(reg.NodesWithBoundAtLeast(0).size(), 6u);
+  // The static bound, not the current availability: claims change nothing.
+  for (int k = 0; k < 4; ++k) reg.Claim(0, 1, 1, true);
+  EXPECT_EQ(reg.NodesWithBoundAtLeast(4),
+            (std::vector<std::size_t>{0, 2, 4}));
+  EXPECT_EQ(reg.AvailableFor(0, 1, true), 0);
+  // Built once per threshold: later calls return the same list.
+  EXPECT_EQ(&reg.NodesWithBoundAtLeast(4), &reg.NodesWithBoundAtLeast(4));
+}
+
 TEST(DegreeRegistry, TableViewMirrorsSlots) {
   DegreeRegistry reg({3});
   reg.Claim(0, 4, 2, false);

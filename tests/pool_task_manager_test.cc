@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "pool/market.h"
 #include "pool/task_manager.h"
 #include "test_support.h"
 #include "util/rng.h"
@@ -129,6 +131,30 @@ TEST(TaskManager, OverlappingMembersFailGracefully) {
   }
   a.Teardown();
   b.Teardown();
+  EXPECT_EQ(pool.registry().TotalUsed(), 0u);
+}
+
+TEST(TaskManager, DuplicateMemberRejectedBeforeAdmission) {
+  // A member listed twice can never be placed, so every Schedule of such a
+  // session would fail: the spec is refused up front, naming the id, and
+  // the market never admits the session.
+  auto& pool = p2p::testing::SharedSmallPool();
+  alm::SessionSpec spec;
+  spec.id = 70;
+  spec.priority = 2;
+  spec.root = 0;
+  spec.members = {1, 2, 2, 3};
+  try {
+    TaskManager tm(pool, spec, TaskManagerOptions{});
+    ADD_FAILURE() << "a spec listing member 2 twice was accepted";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate member id 2"),
+              std::string::npos)
+        << e.what();
+  }
+  MarketScheduler market(pool, TaskManagerOptions{});
+  EXPECT_THROW(market.AddSession(spec), util::CheckError);
+  EXPECT_EQ(market.session_count(), 0u);
   EXPECT_EQ(pool.registry().TotalUsed(), 0u);
 }
 
