@@ -346,7 +346,8 @@ bool PlannerRegistry::Contains(const std::string& name) const {
 std::unique_ptr<Planner> PlannerRegistry::Create(
     const std::string& name) const {
   const auto it = factories_.find(name);
-  P2P_CHECK_MSG(it != factories_.end(), "unknown planner: " << name);
+  if (it == factories_.end())
+    throw util::UsageError("unknown planner '" + name + "'");
   return it->second();
 }
 

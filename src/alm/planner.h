@@ -196,7 +196,7 @@ class PlannerRegistry {
   // Throws util::CheckError when `name` is already registered.
   void Register(const std::string& name, Factory factory);
   bool Contains(const std::string& name) const;
-  // Throws util::CheckError on an unknown name.
+  // Throws util::UsageError on an unknown name.
   std::unique_ptr<Planner> Create(const std::string& name) const;
   // Sorted registered names.
   std::vector<std::string> Names() const;

@@ -36,8 +36,7 @@ Strategy ParseStrategy(const std::string& name) {
   if (name == "critical+adj") return Strategy::kCriticalAdjust;
   if (name == "leafset") return Strategy::kLeafset;
   if (name == "leafset+adj") return Strategy::kLeafsetAdjust;
-  P2P_CHECK_MSG(false, "unknown strategy: " + name);
-  return Strategy::kLeafsetAdjust;
+  throw util::UsageError("unknown strategy '" + name + "'");
 }
 
 }  // namespace p2p::alm

@@ -33,7 +33,7 @@ bool StrategyUsesAdjust(Strategy s);
 bool StrategyUsesEstimates(Strategy s);
 
 // CLI spelling ("amcast", "amcast+adj", "critical", "critical+adj",
-// "leafset", "leafset+adj") -> Strategy; throws util::CheckError on an
+// "leafset", "leafset+adj") -> Strategy; throws util::UsageError on an
 // unknown spelling. These spellings double as planner registry names.
 Strategy ParseStrategy(const std::string& name);
 

@@ -116,7 +116,7 @@ TopologyPreset ParseTopologyPreset(const std::string& name) {
   if (name == "50k" || name == "50000") return TopologyPreset::kHosts50k;
   if (name == "100k" || name == "100000") return TopologyPreset::kHosts100k;
   if (name == "250k" || name == "250000") return TopologyPreset::kHosts250k;
-  throw util::CheckError("unknown topology preset '" + name +
+  throw util::UsageError("unknown topology preset '" + name +
                          "' (1200|10k|50k|100k|250k)");
 }
 

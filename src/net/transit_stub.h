@@ -80,7 +80,7 @@ enum class TopologyPreset {
 
 TransitStubParams PresetParams(TopologyPreset preset);
 
-// "1200" | "10k" | "50k" | "100k" | "250k" (throws util::CheckError on
+// "1200" | "10k" | "50k" | "100k" | "250k" (throws util::UsageError on
 // anything else).
 TopologyPreset ParseTopologyPreset(const std::string& name);
 const char* TopologyPresetName(TopologyPreset preset);

@@ -65,8 +65,8 @@ std::string RunReport::ToJson() const {
   for (const auto& [k, v] : results_) w.Key(k).Number(v);
   w.EndObject();
   w.Key("metrics");
-  if (metrics_ != nullptr) {
-    w.Raw(metrics_->SnapshotJson(include_profile_));
+  if (!metrics_json_.empty()) {
+    w.Raw(metrics_json_);
   } else {
     w.Null();
   }

@@ -36,12 +36,12 @@ class RunReport {
   // Headline scalar results (the numbers the stdout table prints).
   void AddResult(const std::string& key, double value);
 
-  // Attach the registry whose snapshot the report embeds (not owned; must
-  // outlive Write/ToJson). include_profile adds the wall-clock section.
+  // Embed a snapshot of `registry` taken now (a later call replaces it);
+  // the registry need not outlive the report. include_profile adds the
+  // wall-clock section.
   void AttachMetrics(const MetricsRegistry* registry,
                      bool include_profile = true) {
-    metrics_ = registry;
-    include_profile_ = include_profile;
+    metrics_json_ = registry->SnapshotJson(include_profile);
   }
 
   // Reference a timeseries CSV written alongside the report.
@@ -85,8 +85,7 @@ class RunReport {
     std::vector<AlertEventRef> events;
   };
   std::vector<AlertsRef> alerts_;
-  const MetricsRegistry* metrics_ = nullptr;
-  bool include_profile_ = true;
+  std::string metrics_json_;  // empty: no registry attached
 };
 
 }  // namespace p2p::obs

@@ -150,6 +150,13 @@ ScheduleOutcome TaskManager::Schedule(const somo::AggregateReport* view) {
   } catch (const util::CheckError&) {
     return outcome;  // ok == false; previous reservation already released
   }
+  // Planners keep helpers within their bounds but attach every member, so
+  // a shared member whose slots another session's member claims all hold
+  // (bound 0) can still get a tree edge. A plan is feasible only within
+  // the degrees it was given; claiming past them would fail.
+  for (const alm::ParticipantId v : plan.tree.members()) {
+    if (plan.tree.Degree(v) > in.degree_bounds[v]) return outcome;
+  }
 
   // Reserve: one claim per incident tree edge at every tree node.
   std::vector<alm::SessionId> preempted;

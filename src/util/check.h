@@ -22,6 +22,13 @@ class CheckError : public std::logic_error {
   explicit CheckError(const std::string& what) : std::logic_error(what) {}
 };
 
+// A malformed request rather than a failed run: an unknown flag, a value
+// that does not parse, or one outside its set. The CLI exits 2 on it.
+class UsageError : public CheckError {
+ public:
+  using CheckError::CheckError;
+};
+
 namespace detail {
 [[noreturn]] inline void CheckFail(const char* file, int line,
                                    const char* expr, const std::string& msg) {

@@ -7,6 +7,7 @@
 #include "pool/task_manager.h"
 #include "test_support.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace p2p::pool {
 namespace {
@@ -131,6 +132,64 @@ TEST(TaskManager, OverlappingMembersFailGracefully) {
   }
   a.Teardown();
   b.Teardown();
+  EXPECT_EQ(pool.registry().TotalUsed(), 0u);
+}
+
+TEST(TaskManager, SharedMemberWithoutFreeDegreesIsInfeasible) {
+  // Another priority-1 session's member claims hold every slot of one of
+  // this session's members, so the member plans at bound 0. Any tree gives
+  // it an edge, so no plan is feasible: Schedule reports ok == false
+  // instead of throwing "claim failed", and leaves the registry as it was.
+  auto& pool = p2p::testing::SharedSmallPool();
+  DegreeRegistry& reg = pool.registry();
+  const alm::SessionSpec spec = MakeSpec(pool, 80, 2, 800);
+  const std::size_t shared = spec.members[3];
+  const alm::SessionId other = 81;
+  for (int k = 0; k < reg.bound(shared); ++k)
+    ASSERT_TRUE(reg.Claim(shared, other, 1, /*is_member=*/true).ok);
+  TaskManager tm(pool, spec, TaskManagerOptions{});
+  ScheduleOutcome out;
+  ASSERT_NO_THROW(out = tm.Schedule());
+  EXPECT_FALSE(out.ok);
+  EXPECT_FALSE(out.stale_conflict);
+  EXPECT_FALSE(tm.scheduled());
+  EXPECT_NO_THROW(reg.CheckInvariants());
+  EXPECT_EQ(reg.HeldBy(shared, other), reg.bound(shared));
+  EXPECT_EQ(reg.TotalUsed(), static_cast<std::size_t>(reg.bound(shared)));
+  reg.ReleaseSession(other);
+  EXPECT_EQ(reg.TotalUsed(), 0u);
+}
+
+TEST(MarketScheduler, PartiallyOverlappingSessionsNeverThrow) {
+  // 20-host sessions drawn independently on the paper-sized pool share
+  // members with each other. Admitting them at priorities 1-3 used to
+  // throw "claim failed" out of the market within ten admissions, when a
+  // shared member's slots were all held by other sessions' member claims.
+  util::ThreadPool threads(2);
+  PoolConfig cfg;  // paper defaults: 1200 hosts
+  cfg.seed = 1;
+  ResourcePool pool(cfg, &threads);
+  MarketScheduler market(pool, TaskManagerOptions{});
+  util::Rng rng(7);
+  std::vector<int> sessions_at(pool.size(), 0);
+  bool overlap = false;
+  std::size_t unscheduled = 0;
+  for (alm::SessionId id = 1; id <= 40; ++id) {
+    const auto idx = rng.SampleIndices(pool.size(), 20);
+    alm::SessionSpec spec;
+    spec.id = id;
+    spec.priority = 1 + static_cast<int>(id % 3);
+    spec.root = idx[0];
+    spec.members.assign(idx.begin() + 1, idx.end());
+    for (const auto v : idx) overlap = overlap || sessions_at[v]++ > 0;
+    const TaskManager* tm = nullptr;
+    ASSERT_NO_THROW(tm = &market.AddSession(spec)) << "admission " << id;
+    if (!tm->scheduled()) ++unscheduled;
+    ASSERT_NO_THROW(pool.registry().CheckInvariants()) << "admission " << id;
+  }
+  EXPECT_TRUE(overlap);
+  EXPECT_GT(unscheduled, 0u);  // some admission met an infeasible plan
+  for (const alm::SessionId id : market.session_ids()) market.RemoveSession(id);
   EXPECT_EQ(pool.registry().TotalUsed(), 0u);
 }
 
