@@ -1,7 +1,7 @@
 // Google-benchmark micro-benchmarks for the hot paths: DHT routing,
-// AMCast planning, adjustment, SOMO tree construction, Nelder–Mead, and
-// the latency oracle build. These are engineering benchmarks (wall-clock
-// of the implementation), not paper figures.
+// AMCast planning, adjustment, SOMO tree construction, Nelder–Mead, leafset
+// coordinate rounds, and the latency oracle build. These are engineering
+// benchmarks (wall-clock of the implementation), not paper figures.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -10,6 +10,7 @@
 #include "alm/adjust.h"
 #include "pool/resource_pool.h"
 #include "alm/critical.h"
+#include "coord/leafset_coords.h"
 #include "coord/nelder_mead.h"
 #include "dht/ring.h"
 #include "net/latency_oracle.h"
@@ -192,6 +193,30 @@ void BM_NelderMead5d(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NelderMead5d);
+
+// One damped leafset-coordinate round, serial, with a ResourcePool's
+// settings (32-entry leafsets, 5 dimensions, 120 simplex iterations) on a
+// ring of range(0) hosts of the 1200-host topology. The bootstrap runs
+// once before timing; every iteration is one more round.
+void BM_LeafsetCoordRound(benchmark::State& state) {
+  static const PlanFixture fx(11);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  dht::Ring ring(32, &fx.oracle);
+  for (std::size_t i = 0; i < n; ++i) ring.JoinHashed(i);
+  ring.StabilizeAll();
+  coord::LeafsetCoordOptions opt;
+  opt.nm.max_iterations = 120;
+  util::Rng rng(3);
+  coord::LeafsetCoordSystem coords(ring, opt, rng);
+  coords.Bootstrap();
+  for (auto _ : state) {
+    coords.RunRounds(1);
+    benchmark::DoNotOptimize(coords.coord(0).data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_LeafsetCoordRound)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace p2p

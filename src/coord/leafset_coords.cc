@@ -6,7 +6,109 @@
 
 #include "util/check.h"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace p2p::coord {
+namespace {
+
+// The error of one prediction under objective K.
+template <CoordObjective K>
+double Term(double predicted, double measured) {
+  if constexpr (K == CoordObjective::kAbsoluteL1) {
+    return std::abs(predicted - measured);
+  } else if constexpr (K == CoordObjective::kRelativeL1) {
+    return measured > 0.0 ? std::abs(predicted - measured) / measured : 0.0;
+  } else {
+    if (measured <= 0.0) return 0.0;
+    const double rel = (predicted - measured) / measured;
+    return rel * rel;
+  }
+}
+
+#if defined(__SSE2__)
+// Term for two peers at once: the same operations in the same order per
+// lane, and a lane the scalar branch would zero is masked to +0.0.
+template <CoordObjective K>
+__m128d TermPair(__m128d predicted, __m128d measured) {
+  const __m128d zero = _mm_setzero_pd();
+  const __m128d diff = _mm_sub_pd(predicted, measured);
+  const __m128d abs_diff = _mm_andnot_pd(_mm_set1_pd(-0.0), diff);
+  if constexpr (K == CoordObjective::kAbsoluteL1) {
+    return abs_diff;
+  } else if constexpr (K == CoordObjective::kRelativeL1) {
+    return _mm_and_pd(_mm_cmpgt_pd(measured, zero),
+                      _mm_div_pd(abs_diff, measured));
+  } else {
+    const __m128d rel = _mm_div_pd(diff, measured);
+    return _mm_and_pd(_mm_cmpnle_pd(measured, zero), _mm_mul_pd(rel, rel));
+  }
+}
+#endif
+
+// A fit's objective, sum_i Term(|p - q_i|, delay_i) over the peers, summed
+// in peer order: the value the scalar loop over peers computes, bit for
+// bit. Peer i's coordinate k is cols[k * stride + i]; stride is the peer
+// count rounded up to even, and a pad peer fills the last pair's odd lane.
+// A nonzero kDims fixes the width at compile time.
+template <CoordObjective K, std::size_t kDims>
+struct FitError {
+  const double* cols;
+  const double* delay;
+  std::size_t count;
+  std::size_t stride;
+  std::size_t dims;
+
+  double operator()(const double* p) const {
+    const std::size_t d = kDims != 0 ? kDims : dims;
+    double err = 0.0;
+#if defined(__SSE2__)
+    for (std::size_t i = 0; i < count; i += 2) {
+      __m128d sq = _mm_setzero_pd();
+      const double* q = cols + i;
+      for (std::size_t k = 0; k < d; ++k, q += stride) {
+        const __m128d diff = _mm_sub_pd(_mm_set1_pd(p[k]), _mm_loadu_pd(q));
+        sq = _mm_add_pd(sq, _mm_mul_pd(diff, diff));
+      }
+      const __m128d t =
+          TermPair<K>(_mm_sqrt_pd(sq), _mm_loadu_pd(delay + i));
+      err += _mm_cvtsd_f64(t);
+      if (i + 1 < count) err += _mm_cvtsd_f64(_mm_unpackhi_pd(t, t));
+    }
+#else
+    for (std::size_t i = 0; i < count; ++i) {
+      double sq = 0.0;
+      for (std::size_t k = 0; k < d; ++k) {
+        const double diff = p[k] - cols[k * stride + i];
+        sq += diff * diff;
+      }
+      err += Term<K>(std::sqrt(sq), delay[i]);
+    }
+#endif
+    return err;
+  }
+};
+
+// Fits x under objective K. At the default width, the one every pool uses,
+// the objective fixes its width at compile time, so its loop over the
+// coordinates unrolls: about a fifth off a coordinate round
+// (docs/REPRODUCING.md). The arithmetic is the same either way.
+template <CoordObjective K>
+void MinimizeFit(const double* cols, const double* delay, std::size_t count,
+                 std::size_t stride, std::span<double> x,
+                 const NelderMeadOptions& nm, SimplexScratch& simplex) {
+  constexpr std::size_t kDefault = LeafsetCoordOptions{}.dimensions;
+  if (x.size() == kDefault) {
+    Minimize(FitError<K, kDefault>{cols, delay, count, stride, kDefault}, x,
+             nm, simplex);
+  } else {
+    Minimize(FitError<K, 0>{cols, delay, count, stride, x.size()}, x, nm,
+             simplex);
+  }
+}
+
+}  // namespace
 
 LeafsetCoordSystem::LeafsetCoordSystem(const dht::Ring& ring,
                                        LeafsetCoordOptions options,
@@ -66,28 +168,41 @@ double LeafsetCoordSystem::Measured(dht::NodeIndex a,
   return ring_.LatencyBetween(a, b);
 }
 
-void LeafsetCoordSystem::Fit(dht::NodeIndex n, FitScratch& s) const {
+void LeafsetCoordSystem::Fit(dht::NodeIndex n,
+                             std::span<const dht::NodeIndex> peers,
+                             std::span<const double> noise,
+                             FitScratch& s) const {
   // Snapshot the peers' coordinates, as a heartbeat payload would carry
-  // them, into one contiguous buffer: the objective below reads it a few
-  // hundred times per fit.
+  // them, one column per dimension: the objective reads them a few hundred
+  // times per fit, two peers per step.
   const std::size_t d = options_.dimensions;
-  s.peer_coords.resize(s.meas.size() * d);
-  for (std::size_t i = 0; i < s.meas.size(); ++i) {
-    const Vec& c = coords_[s.meas[i].first];
-    std::copy(c.begin(), c.end(), s.peer_coords.begin() +
-                                      static_cast<std::ptrdiff_t>(i * d));
+  const std::size_t count = peers.size();
+  const std::size_t stride = count + count % 2;
+  s.delay.resize(stride);
+  s.cols.resize(stride * d);
+  for (std::size_t i = 0; i < count; ++i) {
+    s.delay[i] = Measured(n, peers[i]);
+    if (!noise.empty()) s.delay[i] *= noise[i];
+    const double* c = coords_[peers[i]].data();
+    for (std::size_t k = 0; k < d; ++k) s.cols[k * stride + i] = c[k];
   }
-  const auto objective = [&](const Vec& p) {
-    double err = 0.0;
-    const double* q = s.peer_coords.data();
-    for (const auto& m : s.meas) {
-      err += ErrorTerm(std::sqrt(SquaredDistance(p.data(), q, d)), m.second);
-      q += d;
-    }
-    return err;
-  };
+  if (stride > count) {
+    s.delay[count] = 1.0;
+    for (std::size_t k = 0; k < d; ++k) s.cols[k * stride + count] = 0.0;
+  }
   s.x = coords_[n];
-  Minimize(objective, s.x, options_.nm);
+  const auto fit = [&](auto minimize) {
+    minimize(s.cols.data(), s.delay.data(), count, stride,
+             std::span<double>(s.x), options_.nm, s.simplex);
+  };
+  switch (options_.objective) {
+    case CoordObjective::kAbsoluteL1:
+      return fit(MinimizeFit<CoordObjective::kAbsoluteL1>);
+    case CoordObjective::kRelativeL1:
+      return fit(MinimizeFit<CoordObjective::kRelativeL1>);
+    case CoordObjective::kSquaredRelative:
+      return fit(MinimizeFit<CoordObjective::kSquaredRelative>);
+  }
 }
 
 void LeafsetCoordSystem::RunSweep(const Sweep& sweep, bool damped) {
@@ -107,14 +222,12 @@ void LeafsetCoordSystem::RunSweep(const Sweep& sweep, bool damped) {
       for (std::size_t i = begin; i < end; ++i) {
         const std::size_t pos = positions[i];
         const dht::NodeIndex n = sweep.order[pos];
-        s.meas.clear();
-        for (std::size_t j = sweep.peer_begin[pos];
-             j < sweep.peer_begin[pos + 1]; ++j) {
-          double delay = Measured(n, sweep.peers[j]);
-          if (noisy) delay *= sweep.noise[j];
-          s.meas.emplace_back(sweep.peers[j], delay);
-        }
-        Fit(n, s);
+        const std::size_t first = sweep.peer_begin[pos];
+        const std::size_t count = sweep.peer_begin[pos + 1] - first;
+        Fit(n, std::span(sweep.peers).subspan(first, count),
+            noisy ? std::span(sweep.noise).subspan(first, count)
+                  : std::span<const double>(),
+            s);
         Vec& c = coords_[n];
         if (!damped) {
           c = s.x;
@@ -136,14 +249,11 @@ void LeafsetCoordSystem::RunSweep(const Sweep& sweep, bool damped) {
 double LeafsetCoordSystem::ErrorTerm(double predicted, double measured) const {
   switch (options_.objective) {
     case CoordObjective::kAbsoluteL1:
-      return std::abs(predicted - measured);
+      return Term<CoordObjective::kAbsoluteL1>(predicted, measured);
     case CoordObjective::kRelativeL1:
-      return measured > 0.0 ? std::abs(predicted - measured) / measured : 0.0;
-    case CoordObjective::kSquaredRelative: {
-      if (measured <= 0.0) return 0.0;
-      const double rel = (predicted - measured) / measured;
-      return rel * rel;
-    }
+      return Term<CoordObjective::kRelativeL1>(predicted, measured);
+    case CoordObjective::kSquaredRelative:
+      return Term<CoordObjective::kSquaredRelative>(predicted, measured);
   }
   return 0.0;
 }

@@ -116,17 +116,22 @@ class LeafsetCoordSystem {
     std::vector<double> noise;            // per peer, when noisy
   };
   // One fit's working set, reused across the fits of a worker's chunk.
+  // The peers are stored as structure of arrays, their count padded to
+  // even so the objective can take two at a time.
   struct FitScratch {
-    std::vector<std::pair<dht::NodeIndex, double>> meas;  // (peer, delay)
-    std::vector<double> peer_coords;  // meas' peers' coordinates, flat
-    Vec x;                            // the fitted point
+    std::vector<double> delay;  // measured delay per peer
+    std::vector<double> cols;   // per dimension, every peer's coordinate
+    Vec x;                      // the fitted point
+    SimplexScratch simplex;
   };
 
   double ErrorTerm(double predicted, double measured) const;
-  // Downhill-simplex fit of node n's coordinate against s.meas, predicting
-  // from the peers' current coordinates. Leaves the fitted point in s.x
-  // and writes no coordinate.
-  void Fit(dht::NodeIndex n, FitScratch& s) const;
+  // Downhill-simplex fit of node n's coordinate against the measured
+  // delays to `peers` (each scaled by its `noise` factor, if given),
+  // predicting from the peers' current coordinates. Leaves the fitted
+  // point in s.x and writes no coordinate.
+  void Fit(dht::NodeIndex n, std::span<const dht::NodeIndex> peers,
+           std::span<const double> noise, FitScratch& s) const;
   // Fits every position of the sweep against its peers, one level after
   // another; a level's fits fan out across the ring's pool. Each node then
   // moves the damping fraction toward its fit, or onto it when !damped.

@@ -63,6 +63,28 @@ void Leafset::Clear() {
   pred_.clear();
 }
 
+void Leafset::Refill(std::span<const LeafsetEntry> sorted, std::size_t pos) {
+  Clear();
+  const std::size_t m = sorted.size();
+  if (m <= 1) return;
+  P2P_DCHECK(pos < m && sorted[pos].id == owner_);
+  const std::size_t take = std::min(r_, m - 1);
+  for (std::size_t k = 1; k <= take; ++k) {
+    succ_.push_back(sorted[pos + k < m ? pos + k : pos + k - m]);
+    pred_.push_back(sorted[pos >= k ? pos - k : pos + m - k]);
+  }
+  // Inserting offers every candidate to both sides, so with more than r
+  // others each side once held r + 1 entries before dropping its farthest.
+  // Growing to that size once leaves the capacity the inserts left.
+  if (m - 1 > r_) {
+    for (std::vector<LeafsetEntry>* side : {&succ_, &pred_}) {
+      const LeafsetEntry farthest = side->back();
+      side->push_back(farthest);
+      side->pop_back();
+    }
+  }
+}
+
 std::vector<LeafsetEntry> Leafset::Members() const {
   std::vector<LeafsetEntry> all;
   all.reserve(succ_.size() + pred_.size());

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "dht/id.h"
@@ -38,6 +39,12 @@ class Leafset {
   bool Remove(NodeId id);
 
   void Clear();
+
+  // Converged state for an owner at sorted[pos] of the alive membership
+  // sorted by id: each side holds its min(r, m - 1) nearest members,
+  // nearest first. Contents and vector capacities are what Clear()
+  // followed by Insert(succ_k), Insert(pred_k) for k = 1, 2, ... leaves.
+  void Refill(std::span<const LeafsetEntry> sorted, std::size_t pos);
 
   // Successor side: nodes clockwise from the owner, nearest first.
   const std::vector<LeafsetEntry>& successors() const { return succ_; }

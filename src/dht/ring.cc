@@ -39,23 +39,16 @@ std::vector<NodeIndex> Ring::SortedAlive() const {
 
 void Ring::FillLeafsetFromSorted(NodeIndex n) {
   RefreshSorted();
-  Node& x = nodes_[n];
-  x.leafset().Clear();
-  const std::size_t m = sorted_.size();
-  if (m <= 1) return;
-  // Position of x in the sorted order.
+  const NodeId id = nodes_[n].id();
   const auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), x.id(),
-      [](const LeafsetEntry& e, NodeId id) { return e.id < id; });
-  P2P_CHECK(it != sorted_.end() && it->id == x.id());
-  const std::size_t pos = static_cast<std::size_t>(it - sorted_.begin());
-  const std::size_t take = std::min(per_side_, m - 1);
-  for (std::size_t k = 1; k <= take; ++k) {
-    const auto& s = sorted_[(pos + k) % m];
-    const auto& p = sorted_[(pos + m - k) % m];
-    x.leafset().Insert(s.id, s.node);
-    x.leafset().Insert(p.id, p.node);
-  }
+      sorted_.begin(), sorted_.end(), id,
+      [](const LeafsetEntry& e, NodeId v) { return e.id < v; });
+  P2P_CHECK(it != sorted_.end() && it->id == id);
+  FillLeafsetAt(static_cast<std::size_t>(it - sorted_.begin()));
+}
+
+void Ring::FillLeafsetAt(std::size_t pos) {
+  nodes_[sorted_[pos].node].leafset().Refill(sorted_, pos);
 }
 
 NodeIndex Ring::Join(net::HostIdx host, NodeId id) {
@@ -65,6 +58,7 @@ NodeIndex Ring::Join(net::HostIdx host, NodeId id) {
       [](const LeafsetEntry& e, NodeId v) { return e.id < v; });
   P2P_CHECK_MSG(it == sorted_.end() || it->id != id,
                 "duplicate node id " << id);
+  const std::size_t pos = static_cast<std::size_t>(it - sorted_.begin());
   nodes_.emplace_back(id, host, per_side_);
   const NodeIndex n = nodes_.size() - 1;
   ++alive_count_;
@@ -72,10 +66,16 @@ NodeIndex Ring::Join(net::HostIdx host, NodeId id) {
   // does not re-sort the whole membership on every join.
   sorted_.insert(it, {id, n});
 
-  // Bring the joiner and the 2r nodes around it to converged leafsets.
-  FillLeafsetFromSorted(n);
-  for (const auto& e : nodes_[n].leafset().Members())
-    FillLeafsetFromSorted(e.node);
+  // Bring the joiner and the 2r nodes around it to converged leafsets. In
+  // a ring of 2r+1 nodes or fewer a neighbour sits on both sides and is
+  // refilled twice, which leaves the same state.
+  const std::size_t m = sorted_.size();
+  const std::size_t take = std::min(per_side_, m - 1);
+  FillLeafsetAt(pos);
+  for (std::size_t k = 1; k <= take; ++k) {
+    FillLeafsetAt(pos + k < m ? pos + k : pos + k - m);
+    FillLeafsetAt(pos >= k ? pos - k : pos + m - k);
+  }
   BuildFingers(n);
   BuildPrefixTable(n);
   return n;
@@ -301,7 +301,7 @@ void Ring::StabilizeAll() {
   const auto rebuild = [this](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
       const NodeIndex n = sorted_[k].node;
-      FillLeafsetFromSorted(n);
+      FillLeafsetAt(k);
       BuildFingers(n);
       BuildPrefixTable(n);
     }

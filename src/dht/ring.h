@@ -158,6 +158,8 @@ class Ring {
   void RefreshSorted() const;
   // Converged leafset of node n given the current alive membership.
   void FillLeafsetFromSorted(NodeIndex n);
+  // The same for the node at sorted_[pos]; sorted_ must be current.
+  void FillLeafsetAt(std::size_t pos);
 
   std::size_t per_side_;
   util::ThreadPool* pool_ = nullptr;

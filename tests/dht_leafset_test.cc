@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "dht/leafset.h"
+#include "reference/leafset_refill_ref.h"
 #include "util/rng.h"
 
 namespace p2p::dht {
@@ -129,6 +130,65 @@ TEST(Leafset, ClearEmptiesBothSides) {
   ls.Clear();
   EXPECT_EQ(ls.size(), 0u);
   EXPECT_EQ(ls.successor(), kNoNode);
+}
+
+TEST(Leafset, RefillMatchesInsertSequence) {
+  // Every position of rings from one node up to past the wrap-around
+  // sizes (2r+1 nodes or fewer put a node on both sides), and of a large
+  // ring, for several leafset widths. Each refill starts from a fresh
+  // leafset, from one a few random inserts left at another capacity, and
+  // from the state the same refill left, as when a neighbour's join
+  // refills a converged node again.
+  util::Rng rng(17);
+  std::size_t cases = 0;
+  const auto expect_same_side = [](const std::vector<LeafsetEntry>& got,
+                                   const std::vector<LeafsetEntry>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << "entry " << i;
+      EXPECT_EQ(got[i].node, want[i].node) << "entry " << i;
+    }
+  };
+  for (const std::size_t r : {1u, 2u, 3u, 5u, 16u}) {
+    std::vector<std::size_t> sizes;
+    for (std::size_t m = 1; m <= 2 * r + 4; ++m) sizes.push_back(m);
+    sizes.push_back(500);
+    for (const std::size_t m : sizes) {
+      std::vector<LeafsetEntry> sorted(m);
+      for (std::size_t i = 0; i < m; ++i) sorted[i] = {rng(), 1000 + i};
+      std::sort(sorted.begin(), sorted.end(),
+                [](const LeafsetEntry& a, const LeafsetEntry& b) {
+                  return a.id < b.id;
+                });
+      for (std::size_t pos = 0; pos < m; ++pos) {
+        for (const int start : {0, 1, 2}) {
+          SCOPED_TRACE(::testing::Message() << "r " << r << " m " << m
+                                            << " pos " << pos << " start "
+                                            << start);
+          Leafset got(sorted[pos].id, r);
+          Leafset want(sorted[pos].id, r);
+          if (start == 1) {
+            const std::size_t extra = rng.NextBounded(2 * r + 3);
+            for (std::size_t i = 0; i < extra; ++i) {
+              const NodeId id = rng();
+              got.Insert(id, i);
+              want.Insert(id, i);
+            }
+          } else if (start == 2) {
+            got.Refill(sorted, pos);
+            leafsetref::RefillByInserts(want, sorted, pos);
+          }
+          got.Refill(sorted, pos);
+          leafsetref::RefillByInserts(want, sorted, pos);
+          expect_same_side(got.successors(), want.successors());
+          expect_same_side(got.predecessors(), want.predecessors());
+          ASSERT_EQ(got.HeapBytes(), want.HeapBytes());
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 3u * (883u + 5u * 500u));
 }
 
 }  // namespace
