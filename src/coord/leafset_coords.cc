@@ -360,14 +360,14 @@ void LeafsetCoordSystem::RunRounds(std::size_t rounds) {
       const dht::NodeIndex n = sweep.order[pos];
       const std::size_t first = sweep.peers.size();
       sweep.peer_begin[pos] = first;
-      for (const dht::LeafsetEntry& e : ring_.node(n).leafset().Members()) {
-        if (!ring_.node(e.node).alive()) continue;
+      ring_.node(n).leafset().ForEachMember([&](const dht::LeafsetEntry& e) {
+        if (!ring_.node(e.node).alive()) return;
         sweep.peers.push_back(e.node);
         if (noisy) {
           sweep.noise.push_back(rng_.Uniform(1.0 - options_.measurement_noise,
                                              1.0 + options_.measurement_noise));
         }
-      }
+      });
       const auto members = std::span(sweep.peers).subspan(first);
       if (members.empty()) {
         sweep.level[pos] = -1;

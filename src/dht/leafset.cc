@@ -24,17 +24,17 @@ bool Leafset::Insert(NodeId id, NodeIndex node) {
       at->node = node;
       return false;
     }
-    // Append, then rotate into place: capacity grows as one push_back grows
-    // it, which Ring::MemoryBytes counts.
-    const std::size_t pos = static_cast<std::size_t>(at - side.begin());
-    side.push_back({id, node});
-    std::rotate(side.begin() + static_cast<std::ptrdiff_t>(pos),
-                side.end() - 1, side.end());
-    if (side.size() > r_) {
-      side.pop_back();
-      // The candidate may have been the one dropped.
-      return pos < r_;
+    if (side.size() == r_) {
+      // Full: a candidate past the farthest entry stays out; a nearer one
+      // shifts the farther entries out by one, dropping the farthest.
+      if (at == side.end()) return false;
+      std::move_backward(at, side.end() - 1, side.end());
+      *at = {id, node};
+      return true;
     }
+    const std::ptrdiff_t pos = at - side.begin();
+    Reserve(side);
+    side.insert(side.begin() + pos, {id, node});
     return true;
   };
   const bool su = upsert(
@@ -63,25 +63,22 @@ void Leafset::Clear() {
   pred_.clear();
 }
 
+void Leafset::Reserve(std::vector<LeafsetEntry>& side) const {
+  if (side.capacity() < r_) side.reserve(r_);
+}
+
 void Leafset::Refill(std::span<const LeafsetEntry> sorted, std::size_t pos) {
   Clear();
   const std::size_t m = sorted.size();
   if (m <= 1) return;
   P2P_DCHECK(pos < m && sorted[pos].id == owner_);
+  // The first Insert reserves both sides too, so capacities agree.
+  Reserve(succ_);
+  Reserve(pred_);
   const std::size_t take = std::min(r_, m - 1);
   for (std::size_t k = 1; k <= take; ++k) {
     succ_.push_back(sorted[pos + k < m ? pos + k : pos + k - m]);
     pred_.push_back(sorted[pos >= k ? pos - k : pos + m - k]);
-  }
-  // Inserting offers every candidate to both sides, so with more than r
-  // others each side once held r + 1 entries before dropping its farthest.
-  // Growing to that size once leaves the capacity the inserts left.
-  if (m - 1 > r_) {
-    for (std::vector<LeafsetEntry>* side : {&succ_, &pred_}) {
-      const LeafsetEntry farthest = side->back();
-      side->push_back(farthest);
-      side->pop_back();
-    }
   }
 }
 

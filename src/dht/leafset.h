@@ -33,6 +33,8 @@ class Leafset {
 
   // Insert or refresh a candidate neighbour. Keeps only the r closest on
   // each side. No-op for the owner itself. Returns true if the set changed.
+  // A side's first entry reserves exactly r slots; a full side shifts in
+  // place, so a side's capacity is 0 or r and never grows past it.
   bool Insert(NodeId id, NodeIndex node);
 
   // Remove a (failed) member. Returns true if it was present.
@@ -42,8 +44,9 @@ class Leafset {
 
   // Converged state for an owner at sorted[pos] of the alive membership
   // sorted by id: each side holds its min(r, m - 1) nearest members,
-  // nearest first. Contents and vector capacities are what Clear()
-  // followed by Insert(succ_k), Insert(pred_k) for k = 1, 2, ... leaves.
+  // nearest first. Contents and vector capacities (r per side once any
+  // other node exists) are what Clear() followed by Insert(succ_k),
+  // Insert(pred_k) for k = 1, 2, ... leaves.
   void Refill(std::span<const LeafsetEntry> sorted, std::size_t pos);
 
   // Successor side: nodes clockwise from the owner, nearest first.
@@ -94,6 +97,8 @@ class Leafset {
 
  private:
   bool IsSuccessor(NodeId id) const;
+  // Grows `side` to capacity r before its first entry (no-op after).
+  void Reserve(std::vector<LeafsetEntry>& side) const;
 
   NodeId owner_;
   std::size_t r_;

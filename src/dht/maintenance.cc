@@ -78,8 +78,9 @@ void MaintenanceProtocol::RefreshRound(NodeIndex n) {
           node.fingers().Set(i, ring_.node(dest).id(), dest);
           // Pastry-style tables learn from lookup traffic: offer the
           // resolved node for whatever prefix slot it fits (no-op if
-          // already filled).
-          node.prefix().Offer(ring_.node(dest).id(), dest);
+          // already filled). Chord rings keep no prefix table.
+          if (ring_.geometry() == RoutingGeometry::kPastryPrefix)
+            node.prefix().Offer(ring_.node(dest).id(), dest);
         },
         opts);
     if (!admitted) {

@@ -12,7 +12,6 @@ PrefixTable::PrefixTable(NodeId owner, std::size_t bits_per_digit)
     : owner_(owner), bits_(bits_per_digit) {
   P2P_CHECK_MSG(bits_ >= 1 && bits_ <= 8 && 64 % bits_ == 0,
                 "bits per digit must divide 64 (got " << bits_ << ")");
-  row_off_.assign(digits(), kNoRow);
 }
 
 std::size_t PrefixTable::DigitOf(NodeId id, std::size_t d) const {
@@ -29,8 +28,9 @@ std::size_t PrefixTable::SharedPrefixDigits(NodeId a, NodeId b) const {
 
 LeafsetEntry* PrefixTable::RowSlots(std::size_t row, bool create) {
   P2P_DCHECK(row < digits());
-  if (row_off_[row] == kNoRow) {
+  if (row_off_.empty() || row_off_[row] == kNoRow) {
     if (!create) return nullptr;
+    if (row_off_.empty()) row_off_.assign(digits(), kNoRow);
     const std::size_t block = slots_.size() / columns();
     P2P_DCHECK(block < kNoRow);
     row_off_[row] = static_cast<std::uint8_t>(block);
@@ -41,7 +41,7 @@ LeafsetEntry* PrefixTable::RowSlots(std::size_t row, bool create) {
 
 const LeafsetEntry* PrefixTable::RowSlots(std::size_t row) const {
   P2P_DCHECK(row < digits());
-  if (row_off_[row] == kNoRow) return nullptr;
+  if (row_off_.empty() || row_off_[row] == kNoRow) return nullptr;
   return slots_.data() + std::size_t{row_off_[row]} * columns();
 }
 

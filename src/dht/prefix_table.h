@@ -9,7 +9,8 @@
 // receive an entry (deeper rows need ids sharing that many digits with the
 // owner), so rows are allocated on first Offer into them instead of all
 // digits()×columns() slots up front. At 10k–100k hosts that is ~4–5 of 16
-// rows, cutting the dominant per-node table from 4 KiB to ~1 KiB.
+// rows, cutting the dominant per-node table from 4 KiB to ~1 KiB. A table
+// that never receives an entry allocates nothing (Chord rings build none).
 #pragma once
 
 #include <cstddef>
@@ -81,8 +82,9 @@ class PrefixTable {
 
   NodeId owner_;
   std::size_t bits_;
-  // row → block index into slots_ (kNoRow = row never touched). Blocks are
-  // columns() entries each, allocated in first-touch order.
+  // row → block index into slots_ (kNoRow = row never touched; empty until
+  // the first row is). Blocks are columns() entries each, allocated in
+  // first-touch order.
   std::vector<std::uint8_t> row_off_;
   std::vector<LeafsetEntry> slots_;
   std::size_t filled_ = 0;

@@ -77,7 +77,7 @@ NodeIndex Ring::Join(net::HostIdx host, NodeId id) {
     FillLeafsetAt(pos >= k ? pos - k : pos + m - k);
   }
   BuildFingers(n);
-  BuildPrefixTable(n);
+  if (geometry_ == RoutingGeometry::kPastryPrefix) BuildPrefixTable(n);
   return n;
 }
 
@@ -160,7 +160,7 @@ void Ring::DetectFailure(NodeIndex n) {
     if (i == n || !nodes_[i].alive()) continue;
     Node& y = nodes_[i];
     y.fingers().Invalidate(n);
-    y.prefix().Invalidate(n);
+    if (geometry_ == RoutingGeometry::kPastryPrefix) y.prefix().Invalidate(n);
     if (y.leafset().Remove(dead_id)) {
       // Lost a leafset member: refill from converged membership (stands in
       // for the leafset-merge repair exchange of the real protocol).
@@ -208,14 +208,14 @@ RouteResult Ring::Route(NodeIndex from, NodeId key) const {
     const NodeIndex alive_succ = [&]() -> NodeIndex {
       NodeIndex best = kNoNode;
       NodeId best_dist = 0;
-      for (const auto& e : x.leafset().Members()) {
-        if (!nodes_[e.node].alive()) continue;
+      x.leafset().ForEachMember([&](const LeafsetEntry& e) {
+        if (!nodes_[e.node].alive()) return;
         const NodeId d = ClockwiseDistance(key, e.id);
         if (best == kNoNode || d < best_dist) {
           best = e.node;
           best_dist = d;
         }
-      }
+      });
       return best;
     }();
     // Last mile: when the leafset covers the key, the member that is the
@@ -298,12 +298,13 @@ void Ring::StabilizeAll() {
   // fan out across the pool and lands on identical state either way.
   RefreshSorted();
   const std::size_t m = sorted_.size();
-  const auto rebuild = [this](std::size_t begin, std::size_t end) {
+  const bool prefix = geometry_ == RoutingGeometry::kPastryPrefix;
+  const auto rebuild = [this, prefix](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
       const NodeIndex n = sorted_[k].node;
       FillLeafsetAt(k);
       BuildFingers(n);
-      BuildPrefixTable(n);
+      if (prefix) BuildPrefixTable(n);
     }
   };
   if (pool_ != nullptr && m >= 2048) {

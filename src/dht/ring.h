@@ -33,7 +33,9 @@ struct RouteResult {
 // offsets) or Pastry/Tapestry-style prefix correction (2^b-ary digits).
 // Both fall back to the leafset for the last mile; the choice only affects
 // which long-range table Route() consults (paper §3.1 treats them as
-// interchangeable O(log N) designs, which this lets us demonstrate).
+// interchangeable O(log N) designs, which this lets us demonstrate). Both
+// rings keep fingers (Route's hop bound and the maintenance lookups use
+// their target keys); only Pastry rings build and keep prefix tables.
 enum class RoutingGeometry {
   kChordFingers,
   kPastryPrefix,
@@ -57,8 +59,9 @@ class Ring {
 
   // Join with an explicit id (ids must be unique). Leafsets of the joiner
   // and its 2r ring neighbours are brought to converged state; the joiner's
-  // fingers are built. Other nodes' fingers go stale until the next
-  // maintenance pass — routing remains correct via leafsets.
+  // fingers (and, on a Pastry ring, its prefix table) are built. Other
+  // nodes' fingers go stale until the next maintenance pass — routing
+  // remains correct via leafsets.
   NodeIndex Join(net::HostIdx host, NodeId id);
   // Join with id = hash(host, salt).
   NodeIndex JoinHashed(net::HostIdx host, std::uint64_t salt = 0);
@@ -67,10 +70,10 @@ class Ring {
   // ids and run ONE stabilisation pass at the end, instead of the per-join
   // incremental leafset repair (which rewrites each joiner's 2r-
   // neighbourhood, touching every node O(r) times across a bootstrap).
-  // The end state — ids, leafsets, fingers, prefix tables — is identical
-  // to `count` JoinHashed calls followed by StabilizeAll; the collision
-  // probe sequence matches JoinHashed's exactly. Returns the index of the
-  // first joined node (the batch is contiguous).
+  // The end state — ids, leafsets, fingers, Pastry prefix tables — is
+  // identical to `count` JoinHashed calls followed by StabilizeAll; the
+  // collision probe sequence matches JoinHashed's exactly. Returns the
+  // index of the first joined node (the batch is contiguous).
   NodeIndex JoinBatchHashed(net::HostIdx first_host, std::size_t count,
                             std::uint64_t salt = 0);
 
@@ -96,16 +99,17 @@ class Ring {
 
   // --- maintenance --------------------------------------------------------
 
-  // Recompute every alive node's leafset and fingers from the alive set
-  // (the state a converged maintenance protocol reaches). With a thread
-  // pool attached (set_thread_pool), per-node rebuilds fan out across the
-  // pool — each node writes only its own tables against the shared sorted
-  // snapshot, so the result is schedule-invariant and identical to the
-  // serial pass.
+  // Recompute every alive node's leafset and fingers (plus its prefix table
+  // on a Pastry ring) from the alive set (the state a converged maintenance
+  // protocol reaches). With a thread pool attached (set_thread_pool),
+  // per-node rebuilds fan out across the pool — each node writes only its
+  // own tables against the shared sorted snapshot, so the result is
+  // schedule-invariant and identical to the serial pass.
   void StabilizeAll();
   // Rebuild one node's fingers against current membership.
   void BuildFingers(NodeIndex n);
-  // Rebuild one node's prefix table against current membership.
+  // Rebuild one node's prefix table against current membership. Join and
+  // StabilizeAll call it on Pastry rings only; Chord rings keep none.
   void BuildPrefixTable(NodeIndex n);
 
   // Exchange the ids of two alive nodes and repair routing state around
@@ -124,8 +128,8 @@ class Ring {
   util::ThreadPool* thread_pool() const { return pool_; }
 
   // Total heap + inline bytes of the ring's routing state: nodes (leafset,
-  // fingers, prefix tables) plus the sorted-membership cache. Feeds the
-  // mem.bytes_per_host gauge.
+  // fingers, Pastry prefix tables) plus the sorted-membership cache. Feeds
+  // the mem.ring_bytes_per_host gauge.
   std::size_t MemoryBytes() const;
   Node& node(NodeIndex n) { return nodes_.at(n); }
   const Node& node(NodeIndex n) const { return nodes_.at(n); }

@@ -425,10 +425,8 @@ Outcome RunFullstack(const FullstackConfig& c, std::FILE* progress) {
   std::size_t hb_delivered = 0;
   for (std::size_t s = 0; s < shards; ++s)
     hb_delivered += stack.heartbeat(s).heartbeats_delivered();
-  // The gauge the memory-regression checks track.
-  const double mem_per_host = static_cast<double>(stack.MemoryBytes()) /
-                              static_cast<double>(net.topo.host_count());
-  metrics0.gauge("mem.bytes_per_host").Set(mem_per_host);
+  // The gauges the memory-regression checks track.
+  stack.RecordMemory();
 
   Progress(progress, "planning one %zu-member session (%s) ...\n", c.group,
            c.planner == "tree" ? c.strategy.c_str() : c.planner.c_str());
@@ -455,7 +453,14 @@ Outcome RunFullstack(const FullstackConfig& c, std::FILE* progress) {
   h.Text("oracle memory (MiB)",
          static_cast<double>(oracle.MemoryBytes()) / (1024.0 * 1024.0));
   h.Text("DHT join (ms)", ProfileMs(metrics0, "fullstack.setup.join_ms"));
-  h.Add("protocol mem (bytes/host)", "mem_bytes_per_host", mem_per_host);
+  h.Add("protocol mem (bytes/host)", "mem_bytes_per_host",
+        metrics0.Value("mem.bytes_per_host"));
+  h.Text("ring mem (bytes/host)", metrics0.Value("mem.ring_bytes_per_host"));
+  h.Text("heartbeat mem (bytes/host)",
+         metrics0.Value("mem.heartbeat_bytes_per_host"));
+  h.Text("SOMO mem (bytes/host)", metrics0.Value("mem.somo_bytes_per_host"));
+  h.Text("transport mem (bytes/host)",
+         metrics0.Value("mem.transport_bytes_per_host"));
   h.Text("peak RSS (MiB)", peak_rss_mib);
   h.Text("shards", static_cast<long long>(shards));
   // Deterministic lookahead facts (the extraction depends only on seed):

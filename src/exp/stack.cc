@@ -171,13 +171,28 @@ void Stack::Start() {
   for (auto& so : somos_) so->Start();
 }
 
-std::size_t Stack::MemoryBytes() const {
-  std::size_t bytes = ring_->MemoryBytes();
-  for (const auto& hb : heartbeats_) bytes += hb->MemoryBytes();
-  for (const auto& so : somos_) bytes += so->MemoryBytes();
+Stack::Memory Stack::MemoryBytes() const {
+  Memory m;
+  m.ring = ring_->MemoryBytes();
+  for (const auto& hb : heartbeats_) m.heartbeat += hb->MemoryBytes();
+  for (const auto& so : somos_) m.somo += so->MemoryBytes();
   for (std::size_t s = 0; s < kernel_->shard_count(); ++s)
-    bytes += kernel_->shard(s).transport().MemoryBytes();
-  return bytes;
+    m.transport += kernel_->shard(s).transport().MemoryBytes();
+  return m;
+}
+
+void Stack::RecordMemory() {
+  const Memory m = MemoryBytes();
+  const double hosts = static_cast<double>(ring_->size());
+  obs::MetricsRegistry& metrics = kernel_->shard(0).metrics();
+  const auto set = [&](const char* name, std::size_t bytes) {
+    metrics.gauge(name).Set(static_cast<double>(bytes) / hosts);
+  };
+  set("mem.bytes_per_host", m.total());
+  set("mem.ring_bytes_per_host", m.ring);
+  set("mem.heartbeat_bytes_per_host", m.heartbeat);
+  set("mem.somo_bytes_per_host", m.somo);
+  set("mem.transport_bytes_per_host", m.transport);
 }
 
 void Stack::AttachMetrics(obs::RunReport& report) const {

@@ -101,10 +101,21 @@ class Stack {
   // Heartbeats, then SOMO, in shard order.
   void Start();
 
-  // Resident protocol-state bytes: ring tables plus every shard's
-  // heartbeat, SOMO and transport state (element counts, not allocator
-  // state, so same-seed runs agree).
-  std::size_t MemoryBytes() const;
+  // Resident protocol-state bytes by layer: the ring's tables and every
+  // shard's heartbeat, SOMO and transport state (element counts, not
+  // allocator state, so same-seed runs agree).
+  struct Memory {
+    std::size_t ring = 0;
+    std::size_t heartbeat = 0;
+    std::size_t somo = 0;
+    std::size_t transport = 0;
+    std::size_t total() const { return ring + heartbeat + somo + transport; }
+  };
+  Memory MemoryBytes() const;
+  // Sets shard 0's gauges mem.bytes_per_host (the total) and
+  // mem.{ring,heartbeat,somo,transport}_bytes_per_host (its parts):
+  // MemoryBytes() over the ring's hosts.
+  void RecordMemory();
 
   // Shard 0's registry at one shard; otherwise every shard's, merged in
   // shard order, plus the barrier machinery's wall-clock profile.

@@ -7,20 +7,70 @@
 
 namespace p2p::somo {
 
+AggregateReport::AggregateReport(const AggregateReport& other)
+    : oldest(other.oldest),
+      newest(other.newest),
+      best_capacity_node(other.best_capacity_node),
+      best_capacity(other.best_capacity),
+      cols_(other.empty() ? nullptr
+                          : std::make_unique<Columns>(*other.cols_)) {}
+
+AggregateReport& AggregateReport::operator=(const AggregateReport& other) {
+  if (this == &other) return *this;
+  oldest = other.oldest;
+  newest = other.newest;
+  best_capacity_node = other.best_capacity_node;
+  best_capacity = other.best_capacity;
+  if (other.empty()) {
+    if (cols_ != nullptr) cols_->Clear();
+  } else if (cols_ != nullptr) {
+    *cols_ = *other.cols_;  // column-wise, reusing this block's capacity
+  } else {
+    cols_ = std::make_unique<Columns>(*other.cols_);
+  }
+  return *this;
+}
+
+AggregateReport::AggregateReport(AggregateReport&& other) noexcept
+    : oldest(other.oldest),
+      newest(other.newest),
+      best_capacity_node(other.best_capacity_node),
+      best_capacity(other.best_capacity),
+      cols_(std::move(other.cols_)) {
+  other.ResetExtrema();
+}
+
+AggregateReport& AggregateReport::operator=(AggregateReport&& other) noexcept {
+  if (this == &other) return *this;
+  oldest = other.oldest;
+  newest = other.newest;
+  best_capacity_node = other.best_capacity_node;
+  best_capacity = other.best_capacity;
+  cols_ = std::move(other.cols_);
+  other.ResetExtrema();
+  return *this;
+}
+
+AggregateReport::Columns& AggregateReport::Cols() {
+  if (cols_ == nullptr) cols_ = std::make_unique<Columns>();
+  return *cols_;
+}
+
 NodeReport AggregateReport::Member(std::size_t i) const {
   P2P_DCHECK(i < size());
+  const Columns& c = *cols_;
   NodeReport r;
   r.node = node(i);
   r.host = host(i);
-  r.generated_at = generated_[i];
-  const auto c = coordinates(i);
-  r.coordinates.assign(c.begin(), c.end());
-  r.up_kbps = up_[i];
-  r.down_kbps = down_[i];
-  r.degrees.total = deg_total_[i];
+  r.generated_at = c.generated[i];
+  const auto coords = coordinates(i);
+  r.coordinates.assign(coords.begin(), coords.end());
+  r.up_kbps = c.up[i];
+  r.down_kbps = c.down[i];
+  r.degrees.total = c.deg_total[i];
   const auto slots = degree_slots(i);
   r.degrees.taken.assign(slots.begin(), slots.end());
-  r.capacity = capacity_[i];
+  r.capacity = c.capacity[i];
   if (const HostTelemetry* t = telemetry(i)) r.telemetry = *t;
   return r;
 }
@@ -32,88 +82,93 @@ void AggregateReport::Add(const NodeReport& r) {
     best_capacity = r.capacity;
     best_capacity_node = r.node;
   }
-  node_.push_back(r.node == dht::kNoNode
-                      ? kNone32
-                      : static_cast<std::uint32_t>(r.node));
-  host_.push_back(static_cast<std::uint32_t>(r.host));
-  generated_.push_back(r.generated_at);
-  up_.push_back(r.up_kbps);
-  down_.push_back(r.down_kbps);
-  capacity_.push_back(r.capacity);
-  deg_total_.push_back(r.degrees.total);
-  coord_off_.push_back(static_cast<std::uint32_t>(coord_pool_.size()));
-  coord_dim_.push_back(static_cast<std::uint16_t>(r.coordinates.size()));
-  coord_pool_.insert(coord_pool_.end(), r.coordinates.begin(),
-                     r.coordinates.end());
-  deg_off_.push_back(static_cast<std::uint32_t>(deg_pool_.size()));
-  deg_used_.push_back(static_cast<std::uint16_t>(r.degrees.taken.size()));
-  deg_pool_.insert(deg_pool_.end(), r.degrees.taken.begin(),
-                   r.degrees.taken.end());
+  Columns& c = Cols();
+  c.node.push_back(r.node == dht::kNoNode ? kNone32
+                                          : static_cast<std::uint32_t>(r.node));
+  c.host.push_back(static_cast<std::uint32_t>(r.host));
+  c.generated.push_back(r.generated_at);
+  c.up.push_back(r.up_kbps);
+  c.down.push_back(r.down_kbps);
+  c.capacity.push_back(r.capacity);
+  c.deg_total.push_back(r.degrees.total);
+  c.coord_off.push_back(static_cast<std::uint32_t>(c.coord_pool.size()));
+  c.coord_dim.push_back(static_cast<std::uint16_t>(r.coordinates.size()));
+  c.coord_pool.insert(c.coord_pool.end(), r.coordinates.begin(),
+                      r.coordinates.end());
+  c.deg_off.push_back(static_cast<std::uint32_t>(c.deg_pool.size()));
+  c.deg_used.push_back(static_cast<std::uint16_t>(r.degrees.taken.size()));
+  c.deg_pool.insert(c.deg_pool.end(), r.degrees.taken.begin(),
+                    r.degrees.taken.end());
   if (r.telemetry.valid()) {
-    tel_off_.push_back(static_cast<std::uint32_t>(tel_pool_.size()));
-    tel_pool_.push_back(r.telemetry);
+    c.tel_off.push_back(static_cast<std::uint32_t>(c.tel_pool.size()));
+    c.tel_pool.push_back(r.telemetry);
   } else {
-    tel_off_.push_back(kNone32);
+    c.tel_off.push_back(kNone32);
   }
 }
 
 void AggregateReport::AppendFrom(const AggregateReport& other,
                                  std::size_t j) {
-  node_.push_back(other.node_[j]);
-  host_.push_back(other.host_[j]);
-  generated_.push_back(other.generated_[j]);
-  up_.push_back(other.up_[j]);
-  down_.push_back(other.down_[j]);
-  capacity_.push_back(other.capacity_[j]);
-  deg_total_.push_back(other.deg_total_[j]);
-  const auto c = other.coordinates(j);
-  coord_off_.push_back(static_cast<std::uint32_t>(coord_pool_.size()));
-  coord_dim_.push_back(other.coord_dim_[j]);
-  coord_pool_.insert(coord_pool_.end(), c.begin(), c.end());
+  Columns& c = Cols();
+  const Columns& o = *other.cols_;
+  c.node.push_back(o.node[j]);
+  c.host.push_back(o.host[j]);
+  c.generated.push_back(o.generated[j]);
+  c.up.push_back(o.up[j]);
+  c.down.push_back(o.down[j]);
+  c.capacity.push_back(o.capacity[j]);
+  c.deg_total.push_back(o.deg_total[j]);
+  const auto coords = other.coordinates(j);
+  c.coord_off.push_back(static_cast<std::uint32_t>(c.coord_pool.size()));
+  c.coord_dim.push_back(o.coord_dim[j]);
+  c.coord_pool.insert(c.coord_pool.end(), coords.begin(), coords.end());
   const auto slots = other.degree_slots(j);
-  deg_off_.push_back(static_cast<std::uint32_t>(deg_pool_.size()));
-  deg_used_.push_back(other.deg_used_[j]);
-  deg_pool_.insert(deg_pool_.end(), slots.begin(), slots.end());
-  if (other.tel_off_[j] == kNone32) {
-    tel_off_.push_back(kNone32);
+  c.deg_off.push_back(static_cast<std::uint32_t>(c.deg_pool.size()));
+  c.deg_used.push_back(o.deg_used[j]);
+  c.deg_pool.insert(c.deg_pool.end(), slots.begin(), slots.end());
+  if (o.tel_off[j] == kNone32) {
+    c.tel_off.push_back(kNone32);
   } else {
-    tel_off_.push_back(static_cast<std::uint32_t>(tel_pool_.size()));
-    tel_pool_.push_back(other.tel_pool_[other.tel_off_[j]]);
+    c.tel_off.push_back(static_cast<std::uint32_t>(c.tel_pool.size()));
+    c.tel_pool.push_back(o.tel_pool[o.tel_off[j]]);
   }
 }
 
 void AggregateReport::ReplaceFrom(std::size_t i, const AggregateReport& other,
                                   std::size_t j) {
-  node_[i] = other.node_[j];
-  host_[i] = other.host_[j];
-  generated_[i] = other.generated_[j];
-  up_[i] = other.up_[j];
-  down_[i] = other.down_[j];
-  capacity_[i] = other.capacity_[j];
-  deg_total_[i] = other.deg_total_[j];
-  const auto c = other.coordinates(j);
-  if (other.coord_dim_[j] == coord_dim_[i]) {
-    std::copy(c.begin(), c.end(), coord_pool_.begin() + coord_off_[i]);
+  Columns& c = *cols_;
+  const Columns& o = *other.cols_;
+  c.node[i] = o.node[j];
+  c.host[i] = o.host[j];
+  c.generated[i] = o.generated[j];
+  c.up[i] = o.up[j];
+  c.down[i] = o.down[j];
+  c.capacity[i] = o.capacity[j];
+  c.deg_total[i] = o.deg_total[j];
+  const auto coords = other.coordinates(j);
+  if (o.coord_dim[j] == c.coord_dim[i]) {
+    std::copy(coords.begin(), coords.end(),
+              c.coord_pool.begin() + c.coord_off[i]);
   } else {
-    coord_off_[i] = static_cast<std::uint32_t>(coord_pool_.size());
-    coord_dim_[i] = other.coord_dim_[j];
-    coord_pool_.insert(coord_pool_.end(), c.begin(), c.end());
+    c.coord_off[i] = static_cast<std::uint32_t>(c.coord_pool.size());
+    c.coord_dim[i] = o.coord_dim[j];
+    c.coord_pool.insert(c.coord_pool.end(), coords.begin(), coords.end());
   }
   const auto slots = other.degree_slots(j);
-  if (other.deg_used_[j] == deg_used_[i]) {
-    std::copy(slots.begin(), slots.end(), deg_pool_.begin() + deg_off_[i]);
+  if (o.deg_used[j] == c.deg_used[i]) {
+    std::copy(slots.begin(), slots.end(), c.deg_pool.begin() + c.deg_off[i]);
   } else {
-    deg_off_[i] = static_cast<std::uint32_t>(deg_pool_.size());
-    deg_used_[i] = other.deg_used_[j];
-    deg_pool_.insert(deg_pool_.end(), slots.begin(), slots.end());
+    c.deg_off[i] = static_cast<std::uint32_t>(c.deg_pool.size());
+    c.deg_used[i] = o.deg_used[j];
+    c.deg_pool.insert(c.deg_pool.end(), slots.begin(), slots.end());
   }
-  if (other.tel_off_[j] == kNone32) {
-    tel_off_[i] = kNone32;
-  } else if (tel_off_[i] != kNone32) {
-    tel_pool_[tel_off_[i]] = other.tel_pool_[other.tel_off_[j]];
+  if (o.tel_off[j] == kNone32) {
+    c.tel_off[i] = kNone32;
+  } else if (c.tel_off[i] != kNone32) {
+    c.tel_pool[c.tel_off[i]] = o.tel_pool[o.tel_off[j]];
   } else {
-    tel_off_[i] = static_cast<std::uint32_t>(tel_pool_.size());
-    tel_pool_.push_back(other.tel_pool_[other.tel_off_[j]]);
+    c.tel_off[i] = static_cast<std::uint32_t>(c.tel_pool.size());
+    c.tel_pool.push_back(o.tel_pool[o.tel_off[j]]);
   }
 }
 
@@ -128,16 +183,20 @@ void AggregateReport::Merge(const AggregateReport& other) {
   for (std::size_t j = 0; j < other.size(); ++j) AppendFrom(other, j);
 }
 
-void AggregateReport::RecomputeExtrema() {
+void AggregateReport::ResetExtrema() {
   oldest = std::numeric_limits<double>::infinity();
   newest = -std::numeric_limits<double>::infinity();
   best_capacity = -std::numeric_limits<double>::infinity();
   best_capacity_node = dht::kNoNode;
+}
+
+void AggregateReport::RecomputeExtrema() {
+  ResetExtrema();
   for (std::size_t i = 0; i < size(); ++i) {
-    oldest = std::min(oldest, generated_[i]);
-    newest = std::max(newest, generated_[i]);
-    if (capacity_[i] > best_capacity) {
-      best_capacity = capacity_[i];
+    oldest = std::min(oldest, cols_->generated[i]);
+    newest = std::max(newest, cols_->generated[i]);
+    if (cols_->capacity[i] > best_capacity) {
+      best_capacity = cols_->capacity[i];
       best_capacity_node = node(i);
     }
   }
@@ -148,13 +207,14 @@ void AggregateReport::MergeKeepFreshest(const AggregateReport& other) {
   // Index existing members; replace with fresher duplicates, append new.
   std::unordered_map<std::uint32_t, std::size_t> index;
   index.reserve(size() + other.size());
-  for (std::size_t i = 0; i < size(); ++i) index.emplace(node_[i], i);
+  for (std::size_t i = 0; i < size(); ++i) index.emplace(cols_->node[i], i);
+  const Columns& o = *other.cols_;
   for (std::size_t j = 0; j < other.size(); ++j) {
-    const auto it = index.find(other.node_[j]);
+    const auto it = index.find(o.node[j]);
     if (it == index.end()) {
-      index.emplace(other.node_[j], size());
+      index.emplace(o.node[j], size());
       AppendFrom(other, j);
-    } else if (other.generated_[j] > generated_[it->second]) {
+    } else if (o.generated[j] > cols_->generated[it->second]) {
       ReplaceFrom(it->second, other, j);
     }
   }
@@ -163,62 +223,50 @@ void AggregateReport::MergeKeepFreshest(const AggregateReport& other) {
   RecomputeExtrema();
 }
 
-void AggregateReport::Clear() {
-  node_.clear();
-  host_.clear();
-  generated_.clear();
-  up_.clear();
-  down_.clear();
-  capacity_.clear();
-  deg_total_.clear();
-  coord_off_.clear();
-  coord_dim_.clear();
-  coord_pool_.clear();
-  deg_off_.clear();
-  deg_used_.clear();
-  deg_pool_.clear();
-  tel_off_.clear();
-  tel_pool_.clear();
-  oldest = std::numeric_limits<double>::infinity();
-  newest = -std::numeric_limits<double>::infinity();
-  best_capacity = -std::numeric_limits<double>::infinity();
-  best_capacity_node = dht::kNoNode;
+void AggregateReport::Columns::Clear() {
+  node.clear();
+  host.clear();
+  generated.clear();
+  up.clear();
+  down.clear();
+  capacity.clear();
+  deg_total.clear();
+  coord_off.clear();
+  coord_dim.clear();
+  coord_pool.clear();
+  deg_off.clear();
+  deg_used.clear();
+  deg_pool.clear();
+  tel_off.clear();
+  tel_pool.clear();
 }
 
-void AggregateReport::Reserve(std::size_t n, std::size_t coord_dims,
-                              std::size_t degree_slots, bool with_telemetry) {
-  node_.reserve(n);
-  host_.reserve(n);
-  generated_.reserve(n);
-  up_.reserve(n);
-  down_.reserve(n);
-  capacity_.reserve(n);
-  deg_total_.reserve(n);
-  coord_off_.reserve(n);
-  coord_dim_.reserve(n);
-  coord_pool_.reserve(n * coord_dims);
-  deg_off_.reserve(n);
-  deg_used_.reserve(n);
-  deg_pool_.reserve(n * degree_slots);
-  tel_off_.reserve(n);
-  if (with_telemetry) tel_pool_.reserve(n);
+void AggregateReport::Clear() {
+  if (cols_ != nullptr) cols_->Clear();
+  ResetExtrema();
+}
+
+std::size_t AggregateReport::Columns::HeapBytes() const {
+  return node.capacity() * sizeof(std::uint32_t) +
+         host.capacity() * sizeof(std::uint32_t) +
+         generated.capacity() * sizeof(double) +
+         up.capacity() * sizeof(double) + down.capacity() * sizeof(double) +
+         capacity.capacity() * sizeof(double) +
+         deg_total.capacity() * sizeof(std::int32_t) +
+         coord_off.capacity() * sizeof(std::uint32_t) +
+         coord_dim.capacity() * sizeof(std::uint16_t) +
+         coord_pool.capacity() * sizeof(double) +
+         deg_off.capacity() * sizeof(std::uint32_t) +
+         deg_used.capacity() * sizeof(std::uint16_t) +
+         deg_pool.capacity() * sizeof(DegreeSlot) +
+         tel_off.capacity() * sizeof(std::uint32_t) +
+         tel_pool.capacity() * sizeof(HostTelemetry);
 }
 
 std::size_t AggregateReport::MemoryBytes() const {
-  return sizeof(*this) + node_.capacity() * sizeof(std::uint32_t) +
-         host_.capacity() * sizeof(std::uint32_t) +
-         generated_.capacity() * sizeof(double) +
-         up_.capacity() * sizeof(double) + down_.capacity() * sizeof(double) +
-         capacity_.capacity() * sizeof(double) +
-         deg_total_.capacity() * sizeof(std::int32_t) +
-         coord_off_.capacity() * sizeof(std::uint32_t) +
-         coord_dim_.capacity() * sizeof(std::uint16_t) +
-         coord_pool_.capacity() * sizeof(double) +
-         deg_off_.capacity() * sizeof(std::uint32_t) +
-         deg_used_.capacity() * sizeof(std::uint16_t) +
-         deg_pool_.capacity() * sizeof(DegreeSlot) +
-         tel_off_.capacity() * sizeof(std::uint32_t) +
-         tel_pool_.capacity() * sizeof(HostTelemetry);
+  std::size_t total = sizeof(*this);
+  if (cols_ != nullptr) total += sizeof(Columns) + cols_->HeapBytes();
+  return total;
 }
 
 namespace {
@@ -244,6 +292,7 @@ void EncodeTo(const AggregateReport& agg, Sink& sink) {
   sink.Varint(agg.best_capacity_node == dht::kNoNode
                   ? 0
                   : static_cast<std::uint64_t>(agg.best_capacity_node) + 1);
+  const AggregateReport::Columns& c = *agg.cols_;
   std::int64_t prev_node = 0;
   HostTelemetry prev_tel;  // zero counters: the delta chain's seed
   for (std::size_t i = 0; i < agg.size(); ++i) {
@@ -251,16 +300,16 @@ void EncodeTo(const AggregateReport& agg, Sink& sink) {
     sink.Zigzag(node - prev_node);
     prev_node = node;
     sink.Zigzag(static_cast<std::int64_t>(agg.host(i)) - node);
-    const std::uint64_t gen = obs::QuantizeTicks(agg.generated_[i]);
+    const std::uint64_t gen = obs::QuantizeTicks(c.generated[i]);
     P2P_DCHECK(gen <= base);
     sink.Varint(base - gen);
     const auto coords = agg.coordinates(i);
     sink.Varint(coords.size());
-    for (const double c : coords) sink.F16(c);
-    sink.F16(agg.up_[i]);
-    sink.F16(agg.down_[i]);
-    sink.F16(agg.capacity_[i]);
-    sink.Zigzag(agg.deg_total_[i]);
+    for (const double x : coords) sink.F16(x);
+    sink.F16(c.up[i]);
+    sink.F16(c.down[i]);
+    sink.F16(c.capacity[i]);
+    sink.Zigzag(c.deg_total[i]);
     const auto slots = agg.degree_slots(i);
     sink.Varint(slots.size());
     for (const DegreeSlot& s : slots) {

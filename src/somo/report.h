@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -129,6 +130,13 @@ struct NodeReport {
 // pre-SoA implementation in tests/reference/ pins this differentially).
 // NodeReport remains the interchange type at the edges: providers hand one
 // in via Add, and Member(i) materialises one back out.
+//
+// The columns live in one block allocated on the first record, so an
+// aggregate that never held one is the four scalars and a null pointer
+// (40 B): a SOMO tree caches one per logical node and one per child slot,
+// most of them empty until reports flow. Copies deep-copy the block (an
+// empty source copies as no block); moves hand it over and leave the
+// source empty, with its scalars reset.
 class AggregateReport {
  public:
   sim::Time oldest = std::numeric_limits<double>::infinity();
@@ -138,31 +146,42 @@ class AggregateReport {
   dht::NodeIndex best_capacity_node = dht::kNoNode;
   double best_capacity = -std::numeric_limits<double>::infinity();
 
-  bool empty() const { return node_.empty(); }
-  std::size_t size() const { return node_.size(); }
+  AggregateReport() = default;
+  AggregateReport(const AggregateReport& other);
+  AggregateReport& operator=(const AggregateReport& other);
+  AggregateReport(AggregateReport&& other) noexcept;
+  AggregateReport& operator=(AggregateReport&& other) noexcept;
+
+  bool empty() const { return size() == 0; }
+  std::size_t size() const {
+    return cols_ == nullptr ? 0 : cols_->node.size();
+  }
 
   // --- per-record column accessors (i < size()) ---------------------------
   dht::NodeIndex node(std::size_t i) const {
-    return node_[i] == kNone32 ? dht::kNoNode
-                               : static_cast<dht::NodeIndex>(node_[i]);
+    return cols_->node[i] == kNone32
+               ? dht::kNoNode
+               : static_cast<dht::NodeIndex>(cols_->node[i]);
   }
   net::HostIdx host(std::size_t i) const {
-    return static_cast<net::HostIdx>(host_[i]);
+    return static_cast<net::HostIdx>(cols_->host[i]);
   }
-  sim::Time generated_at(std::size_t i) const { return generated_[i]; }
-  double up_kbps(std::size_t i) const { return up_[i]; }
-  double down_kbps(std::size_t i) const { return down_[i]; }
-  double capacity(std::size_t i) const { return capacity_[i]; }
-  int degrees_total(std::size_t i) const { return deg_total_[i]; }
+  sim::Time generated_at(std::size_t i) const { return cols_->generated[i]; }
+  double up_kbps(std::size_t i) const { return cols_->up[i]; }
+  double down_kbps(std::size_t i) const { return cols_->down[i]; }
+  double capacity(std::size_t i) const { return cols_->capacity[i]; }
+  int degrees_total(std::size_t i) const { return cols_->deg_total[i]; }
   std::span<const double> coordinates(std::size_t i) const {
-    return {coord_pool_.data() + coord_off_[i], coord_dim_[i]};
+    return {cols_->coord_pool.data() + cols_->coord_off[i],
+            cols_->coord_dim[i]};
   }
   std::span<const DegreeSlot> degree_slots(std::size_t i) const {
-    return {deg_pool_.data() + deg_off_[i], deg_used_[i]};
+    return {cols_->deg_pool.data() + cols_->deg_off[i], cols_->deg_used[i]};
   }
   // Null when the record carries no (valid) telemetry sample.
   const HostTelemetry* telemetry(std::size_t i) const {
-    return tel_off_[i] == kNone32 ? nullptr : &tel_pool_[tel_off_[i]];
+    return cols_->tel_off[i] == kNone32 ? nullptr
+                                        : &cols_->tel_pool[cols_->tel_off[i]];
   }
 
   // Materialise record i as a full NodeReport (edge interchange only — hot
@@ -174,55 +193,62 @@ class AggregateReport {
   // Merge keeping only the freshest report per node — used when redundant
   // SOMO links may deliver overlapping aggregates.
   void MergeKeepFreshest(const AggregateReport& other);
+  // Drops every record; an allocated block keeps its capacity.
   void Clear();
-
-  // Pre-size the columns for n records with the given expected payload
-  // shapes (rehash/reallocation audit: bulk builders call this once).
-  void Reserve(std::size_t n, std::size_t coord_dims = 0,
-               std::size_t degree_slots = 0, bool with_telemetry = false);
 
   // Measured wire size of this aggregate: EncodedSize(*this). Honest —
   // the overhead accounting charges what EncodeAggregate would emit.
   std::size_t SerializedBytes() const;
 
-  // Resident bytes of this aggregate (columns + pools + this). The SoA
-  // counterpart of the retained AoS reference's accounting; the memory
-  // regression test compares the two at the 10k preset.
+  // Resident bytes of this aggregate (this, plus the column block and its
+  // capacity when allocated). The SoA counterpart of the retained AoS
+  // reference's accounting; the memory regression test compares the two
+  // at the 10k preset.
   std::size_t MemoryBytes() const;
 
  private:
   static constexpr std::uint32_t kNone32 = 0xffffffffu;
 
+  struct Columns {
+    // One entry per record, in insertion order (== the old members order).
+    std::vector<std::uint32_t> node;
+    std::vector<std::uint32_t> host;
+    std::vector<double> generated;
+    std::vector<double> up;
+    std::vector<double> down;
+    std::vector<double> capacity;
+    std::vector<std::int32_t> deg_total;
+    // Variable-length payloads: (offset, count) per record into shared
+    // pools. Replacements reuse the span in place when the shape matches
+    // and append otherwise; aggregates are rebuilt every gather round, so
+    // abandoned spans never accumulate beyond a round.
+    std::vector<std::uint32_t> coord_off;
+    std::vector<std::uint16_t> coord_dim;
+    std::vector<double> coord_pool;
+    std::vector<std::uint32_t> deg_off;
+    std::vector<std::uint16_t> deg_used;
+    std::vector<DegreeSlot> deg_pool;
+    std::vector<std::uint32_t> tel_off;  // kNone32 = no telemetry
+    std::vector<HostTelemetry> tel_pool;
+
+    void Clear();
+    std::size_t HeapBytes() const;
+  };
+
+  // The column block, allocated on first use.
+  Columns& Cols();
   // Append record j of `other` (column-wise copy).
   void AppendFrom(const AggregateReport& other, std::size_t j);
   // Overwrite record i with record j of `other` (fresher duplicate).
   void ReplaceFrom(std::size_t i, const AggregateReport& other,
                    std::size_t j);
+  void ResetExtrema();
   void RecomputeExtrema();
 
   template <typename Sink>
   friend void EncodeTo(const AggregateReport& agg, Sink& sink);
 
-  // One entry per record, in insertion order (== the old members order).
-  std::vector<std::uint32_t> node_;
-  std::vector<std::uint32_t> host_;
-  std::vector<double> generated_;
-  std::vector<double> up_;
-  std::vector<double> down_;
-  std::vector<double> capacity_;
-  std::vector<std::int32_t> deg_total_;
-  // Variable-length payloads: (offset, count) per record into shared pools.
-  // Replacements reuse the span in place when the shape matches and append
-  // otherwise; aggregates are rebuilt every gather round, so abandoned
-  // spans never accumulate beyond a round.
-  std::vector<std::uint32_t> coord_off_;
-  std::vector<std::uint16_t> coord_dim_;
-  std::vector<double> coord_pool_;
-  std::vector<std::uint32_t> deg_off_;
-  std::vector<std::uint16_t> deg_used_;
-  std::vector<DegreeSlot> deg_pool_;
-  std::vector<std::uint32_t> tel_off_;  // kNone32 = no telemetry
-  std::vector<HostTelemetry> tel_pool_;
+  std::unique_ptr<Columns> cols_;  // null until the first record
 };
 
 // --- wire codec -----------------------------------------------------------

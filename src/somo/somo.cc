@@ -57,8 +57,9 @@ const LogicalTree& SomoProtocol::tree() const {
 void SomoProtocol::Start() {
   P2P_CHECK_MSG(!running_, "SOMO already running");
   running_ = true;
-  // State survives Stop/Start; it is sized once per tree.
-  if (state_.empty() && slot_of_.empty()) AllocateState();
+  // State survives Stop/Start; it is sized once per tree (an instance that
+  // owns no logical node sizes nothing again).
+  if (state_.empty()) AllocateState();
   ScheduleLogicalTimers();
 }
 
@@ -67,11 +68,20 @@ void SomoProtocol::AllocateState() {
   if (shard_of_host_ == nullptr) {
     state_.assign(t.size(), LogicalState{});
   } else {
-    slot_of_.assign(t.size(), kNoSlot);
-    std::uint32_t owned = 0;
-    for (LogicalIndex l = 0; l < t.size(); ++l) {
-      if (OwnsLogical(l)) slot_of_[l] = owned++;
+    std::vector<std::uint32_t>& table = peers_[0]->owners_;
+    if (table.size() != t.size()) {
+      // Slots count up per shard in LogicalIndex order.
+      std::vector<std::uint32_t> next(peers_.size(), 0);
+      table.resize(t.size());
+      for (LogicalIndex l = 0; l < t.size(); ++l) {
+        const std::uint32_t shard =
+            (*shard_of_host_)[ring_.node(t.node(l).owner).host()];
+        P2P_CHECK(next[shard] < (1u << (32 - kShardBits)));
+        table[l] = next[shard]++ << kShardBits | shard;
+      }
     }
+    std::uint32_t owned = 0;
+    for (const std::uint32_t o : table) owned += (o & kShardMask) == shard_;
     state_.assign(owned, LogicalState{});
   }
   for (LogicalIndex l = 0; l < t.size(); ++l) {
@@ -86,6 +96,7 @@ void SomoProtocol::BindShard(std::uint32_t shard,
   P2P_CHECK_MSG(!running_, "bind before Start");
   P2P_CHECK(shard_of_host != nullptr);
   P2P_CHECK_MSG(shard < peers.size(), "shard index outside the peer table");
+  P2P_CHECK_MSG(peers.size() <= kShardMask + 1, "too many SOMO peers");
   P2P_CHECK_MSG(peers[shard] == this, "peer table must map this shard here");
   // The synchronised cascade, dissemination and redundant links capture
   // `this` in downward closures that would mutate another shard's state.
@@ -106,7 +117,7 @@ void SomoProtocol::BindShard(std::uint32_t shard,
   // one, and Start sizes the state for the owned nodes only.
   if (peers_[0] != this) tree_.reset();
   state_ = std::vector<LogicalState>();
-  slot_of_ = std::vector<std::uint32_t>();
+  owners_ = std::vector<std::uint32_t>();
 }
 
 void SomoProtocol::Stop() {
@@ -455,6 +466,7 @@ void SomoProtocol::Rebuild() {
   P2P_CHECK_MSG(peers_.size() <= 1,
                 "Rebuild is unsupported in multi-shard runs");
   tree_ = std::make_unique<LogicalTree>(ring_, config_.fanout);
+  owners_.clear();  // at most one peer (this), whose table the tree outdated
   AllocateState();
   if (running_) ScheduleLogicalTimers();
 }
@@ -516,7 +528,7 @@ dht::NodeIndex SomoProtocol::OptimizeRootFromView() {
 std::size_t SomoProtocol::MemoryBytes() const {
   std::size_t total = sizeof(*this);
   total += state_.capacity() * sizeof(LogicalState);
-  total += slot_of_.capacity() * sizeof(std::uint32_t);
+  total += owners_.capacity() * sizeof(std::uint32_t);
   for (const LogicalState& st : state_) {
     total += st.own.MemoryBytes() - sizeof(AggregateReport);
     total += st.from_children.capacity() * sizeof(AggregateReport);

@@ -197,18 +197,10 @@ class SomoProtocol {
                    SomoMessageKind kind, std::size_t bytes,
                    sim::Transport::DeliverFn deliver);
 
-  // True when this instance runs logical node l's timer and keeps its
-  // state (always, unbound).
-  bool OwnsLogical(LogicalIndex l) const {
-    return shard_of_host_ == nullptr ||
-           (*shard_of_host_)[ring_.node(tree().node(l).owner).host()] ==
-               shard_;
-  }
   // The instance owning logical node l (this, when unbound).
   SomoProtocol* PeerForLogical(LogicalIndex l) {
     if (shard_of_host_ == nullptr) return this;
-    return peers_[(*shard_of_host_)[ring_.node(tree().node(l).owner)
-                                        .host()]];
+    return peers_[owners().at(l) & kShardMask];
   }
 
   sim::Simulation& sim_;
@@ -256,20 +248,33 @@ class SomoProtocol {
     std::vector<AdoptedEntry> adopted;
     std::vector<SyncRound> sync;  // in-flight rounds, insertion order
   };
+  // A bound run keeps logical node l's state on one instance, at one slot
+  // of its state_: owners()[l] packs them as slot << kShardBits | shard.
+  static constexpr std::uint32_t kShardBits = 8;
+  static constexpr std::uint32_t kShardMask = (1u << kShardBits) - 1;
+  // The bound peers' one owner table, by LogicalIndex, held by the shard-0
+  // peer like the tree. The first peer to allocate its state fills it for
+  // every shard, so it is complete before any Start writes state.
+  const std::vector<std::uint32_t>& owners() const {
+    return peers_[0]->owners_;
+  }
+
   // Logical node l's state, or null when this instance keeps none for it
   // (not owned, not allocated yet, or l is past a shrunken tree).
   LogicalState* StateOf(LogicalIndex l) {
-    if (slot_of_.empty()) return l < state_.size() ? &state_[l] : nullptr;
-    if (l >= slot_of_.size() || slot_of_[l] == kNoSlot) return nullptr;
-    return &state_[slot_of_[l]];
+    if (shard_of_host_ == nullptr)
+      return l < state_.size() ? &state_[l] : nullptr;
+    const std::vector<std::uint32_t>& table = owners();
+    if (l >= table.size() || (table[l] & kShardMask) != shard_) return nullptr;
+    const std::uint32_t slot = table[l] >> kShardBits;
+    return slot < state_.size() ? &state_[slot] : nullptr;
   }
 
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   // Unbound: one entry per logical node, indexed by LogicalIndex. Bound:
-  // one entry per owned logical node, at slot_of_[l] (kNoSlot elsewhere).
-  // Empty until Start (or a Rebuild) sizes it.
+  // one entry per owned logical node, at its owner-table slot. Empty until
+  // Start (or a Rebuild) sizes it.
   std::vector<LogicalState> state_;
-  std::vector<std::uint32_t> slot_of_;  // bound instances only
+  std::vector<std::uint32_t> owners_;  // the shard-0 peer's, when bound
   std::vector<sim::Simulation::PeriodicToken> timers_;
   AggregateReport root_view_;
   std::vector<NodeView> node_views_;  // dissemination targets, by NodeIndex
@@ -296,8 +301,9 @@ class SomoProtocol {
 
  public:
   // Resident bytes of this protocol instance's per-logical-node state
-  // (cached aggregates, the bound slot table, dissemination views,
-  // timers; not the logical tree). Feeds the mem.bytes_per_host gauge.
+  // (cached aggregates, the bound owner table on the shard-0 peer,
+  // dissemination views, timers; not the logical tree). Feeds the
+  // mem.bytes_per_host gauge.
   std::size_t MemoryBytes() const;
 };
 

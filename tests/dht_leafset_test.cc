@@ -191,5 +191,83 @@ TEST(Leafset, RefillMatchesInsertSequence) {
   EXPECT_EQ(cases, 3u * (883u + 5u * 500u));
 }
 
+TEST(Leafset, SidesNeverHoldMoreThanRSlots) {
+  // A seeded walk of inserts (new and refreshed ids), removals and
+  // converged refills. After every step each side holds at most r entries
+  // in at most r slots, and its contents match a side model that appends
+  // in distance order and drops everything past the r nearest.
+  util::Rng rng(29);
+  for (const std::size_t r : {1u, 2u, 3u, 5u, 16u}) {
+    SCOPED_TRACE(r);
+    const NodeId owner = rng();
+    std::vector<LeafsetEntry> ids(4 * r + 4);
+    for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = {rng(), 100 + i};
+    Leafset ls(owner, r);
+    std::vector<LeafsetEntry> succ, pred;  // the model's two sides
+    const auto model_insert = [r](std::vector<LeafsetEntry>& side,
+                                  LeafsetEntry e, auto dist) {
+      const auto at = std::find_if(side.begin(), side.end(),
+                                   [&](const LeafsetEntry& x) {
+                                     return dist(x.id) >= dist(e.id);
+                                   });
+      if (at != side.end() && at->id == e.id) {
+        at->node = e.node;
+        return;
+      }
+      side.insert(at, e);
+      if (side.size() > r) side.pop_back();
+    };
+    const auto cw = [owner](NodeId x) { return ClockwiseDistance(owner, x); };
+    const auto ccw = [owner](NodeId x) { return ClockwiseDistance(x, owner); };
+    for (int step = 0; step < 3000; ++step) {
+      const std::size_t op = rng.NextBounded(10);
+      if (op < 6) {
+        LeafsetEntry e = ids[rng.NextBounded(ids.size())];
+        e.node += 1000 * rng.NextBounded(3);  // sometimes a new index
+        ls.Insert(e.id, e.node);
+        model_insert(succ, e, cw);
+        model_insert(pred, e, ccw);
+      } else if (op < 9) {
+        const NodeId id = ids[rng.NextBounded(ids.size())].id;
+        ls.Remove(id);
+        for (auto* side : {&succ, &pred})
+          std::erase_if(*side, [id](const LeafsetEntry& x) { return x.id == id; });
+      } else {
+        std::vector<LeafsetEntry> sorted = {{owner, 0}};
+        const std::size_t others = rng.NextBounded(ids.size() + 1);
+        for (std::size_t i = 0; i < others; ++i) sorted.push_back(ids[i]);
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const LeafsetEntry& a, const LeafsetEntry& b) {
+                    return a.id < b.id;
+                  });
+        const std::size_t pos = static_cast<std::size_t>(
+            std::find_if(sorted.begin(), sorted.end(),
+                         [owner](const LeafsetEntry& x) {
+                           return x.id == owner;
+                         }) -
+            sorted.begin());
+        ls.Refill(sorted, pos);
+        succ.clear();
+        pred.clear();
+        for (const LeafsetEntry& e : sorted) {
+          if (e.id == owner) continue;
+          model_insert(succ, e, cw);
+          model_insert(pred, e, ccw);
+        }
+      }
+      for (const auto& [got, want] :
+           {std::pair{&ls.successors(), &succ},
+            std::pair{&ls.predecessors(), &pred}}) {
+        ASSERT_LE(got->capacity(), r) << "step " << step;
+        ASSERT_EQ(got->size(), want->size()) << "step " << step;
+        for (std::size_t i = 0; i < got->size(); ++i) {
+          ASSERT_EQ((*got)[i].id, (*want)[i].id) << "step " << step;
+          ASSERT_EQ((*got)[i].node, (*want)[i].node) << "step " << step;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace p2p::dht

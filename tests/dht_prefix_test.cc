@@ -3,6 +3,7 @@
 #include "dht/prefix_table.h"
 #include "dht/maintenance.h"
 #include "dht/ring.h"
+#include "sim/simulation.h"
 #include "util/rng.h"
 
 namespace p2p::dht {
@@ -170,6 +171,104 @@ TEST(PastryRouting, MaintenanceLearnsFromLookups) {
   for (const NodeIndex n : ring.SortedAlive())
     filled_after += ring.node(n).prefix().filled_entries();
   EXPECT_GE(filled_after, filled_before);
+}
+
+// ------------------------------------------------ tables by geometry --
+
+// Prefix-table heap bytes summed over every node of the ring.
+std::size_t PrefixHeapBytes(const Ring& ring) {
+  std::size_t bytes = 0;
+  for (NodeIndex n = 0; n < ring.size(); ++n)
+    bytes += ring.node(n).prefix().HeapBytes();
+  return bytes;
+}
+
+// Crashes `count` random alive nodes of `ring`, each detected at once.
+void FailAndDetect(Ring& ring, std::size_t count, util::Rng& rng) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto alive = ring.SortedAlive();
+    const NodeIndex victim = alive[rng.NextBounded(alive.size())];
+    ring.Fail(victim);
+    ring.DetectFailure(victim);
+  }
+}
+
+TEST(ChordRing, BuildsAndKeepsNoPrefixTables) {
+  // Route on a Chord ring reads fingers and leafsets only, so no path —
+  // join, batch join, failure repair, id swap or maintenance lookups —
+  // gives a node a prefix table.
+  Ring per_host(16);
+  for (std::size_t i = 0; i < 300; ++i) per_host.JoinHashed(i);
+  EXPECT_EQ(PrefixHeapBytes(per_host), 0u);
+
+  Ring ring(16);
+  ring.JoinBatchHashed(0, 300);
+  EXPECT_EQ(PrefixHeapBytes(ring), 0u);
+  util::Rng rng(21);
+  FailAndDetect(ring, 20, rng);
+  EXPECT_EQ(PrefixHeapBytes(ring), 0u);
+  const auto alive = ring.SortedAlive();
+  ring.SwapNodeIds(alive.front(), alive[alive.size() / 2]);
+  EXPECT_EQ(PrefixHeapBytes(ring), 0u);
+
+  sim::Simulation sim(11);
+  MaintenanceProtocol maint(sim, ring);
+  maint.Start();
+  sim.RunUntil(20000.0);
+  EXPECT_GT(maint.refreshes(), 0u);
+  EXPECT_EQ(PrefixHeapBytes(ring), 0u);
+  for (int i = 0; i < 100; ++i) {
+    const NodeId key = rng();
+    const auto live = ring.SortedAlive();
+    const RouteResult r = ring.Route(live[rng.NextBounded(live.size())], key);
+    ASSERT_TRUE(r.success);
+    EXPECT_EQ(r.destination, ring.ResponsibleFor(key));
+  }
+}
+
+TEST(PastryRouting, EveryPathStillFillsPrefixTables) {
+  Ring per_host(16, nullptr, RoutingGeometry::kPastryPrefix);
+  for (std::size_t i = 0; i < 300; ++i) per_host.JoinHashed(i);
+  // Each joiner builds its own table on arrival (the first has no peers).
+  EXPECT_EQ(per_host.node(0).prefix().filled_entries(), 0u);
+  for (NodeIndex n = 1; n < per_host.size(); ++n) {
+    EXPECT_GT(per_host.node(n).prefix().filled_entries(), 0u) << n;
+    EXPECT_GT(per_host.node(n).prefix().HeapBytes(), 0u) << n;
+  }
+  per_host.StabilizeAll();
+
+  Ring batch(16, nullptr, RoutingGeometry::kPastryPrefix);
+  batch.JoinBatchHashed(0, 300);
+  const PrefixTable& probe = batch.node(0).prefix();
+  for (NodeIndex n = 0; n < batch.size(); ++n) {
+    const PrefixTable& a = per_host.node(n).prefix();
+    const PrefixTable& b = batch.node(n).prefix();
+    ASSERT_GT(b.filled_entries(), 0u) << n;
+    ASSERT_EQ(a.filled_entries(), b.filled_entries()) << n;
+    for (std::size_t row = 0; row < probe.digits(); ++row) {
+      for (std::size_t col = 0; col < probe.columns(); ++col) {
+        EXPECT_EQ(a.At(row, col).node, b.At(row, col).node)
+            << n << " " << row << " " << col;
+      }
+    }
+  }
+
+  // Failure repair still drops the dead nodes from every table.
+  util::Rng rng(23);
+  FailAndDetect(batch, 20, rng);
+  for (const NodeIndex n : batch.SortedAlive()) {
+    const PrefixTable& t = batch.node(n).prefix();
+    for (std::size_t row = 0; row < t.digits(); ++row) {
+      for (std::size_t col = 0; col < t.columns(); ++col) {
+        const NodeIndex e = t.At(row, col).node;
+        EXPECT_TRUE(e == kNoNode || batch.node(e).alive()) << n;
+      }
+    }
+  }
+  const auto alive = batch.SortedAlive();
+  batch.SwapNodeIds(alive.front(), alive[alive.size() / 2]);
+  for (const NodeIndex n : batch.SortedAlive())
+    EXPECT_GT(batch.node(n).prefix().filled_entries(), 0u) << n;
 }
 
 }  // namespace

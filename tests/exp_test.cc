@@ -68,6 +68,33 @@ TEST(ExpFullstack, TwoShardsCostAtMostTenPercentMoreBytesPerHost) {
                             << two << " B/host";
 }
 
+// The value of the gauge `name` in a run report's metrics snapshot.
+double Gauge(const std::string& json, const std::string& name) {
+  const std::size_t gauges = json.find("\"gauges\":{");
+  const std::size_t at = json.find("\"" + name + "\":", gauges);
+  EXPECT_NE(at, std::string::npos) << name;
+  return std::strtod(json.c_str() + at + name.size() + 3, nullptr);
+}
+
+TEST(ExpFullstack, BytesPerHostStayUnderCeiling) {
+  // Per-host protocol state on the paper's 1200 preset, serial kernel: a
+  // Chord ring keeps no prefix tables, leafset sides hold r slots and an
+  // empty SOMO aggregate holds no columns. The per-layer gauges add up to
+  // the total the ceiling bounds.
+  const std::string json = RunFullstack(SmallFullstack(1)).report.ToJson();
+  const double total = Result(json, "mem_bytes_per_host");
+  EXPECT_LE(total, 6000.0);
+  EXPECT_EQ(Gauge(json, "mem.bytes_per_host"), total);
+  double parts = 0.0;
+  for (const char* layer : {"ring", "heartbeat", "somo", "transport"}) {
+    const double bytes =
+        Gauge(json, std::string("mem.") + layer + "_bytes_per_host");
+    EXPECT_GT(bytes, 0.0) << layer;
+    parts += bytes;
+  }
+  EXPECT_NEAR(parts, total, 1e-9 * total);
+}
+
 // Each bad value is a UsageError thrown before the run prints a progress
 // line, let alone builds a topology.
 template <class Config, class Run>

@@ -149,5 +149,37 @@ TEST(MemoryFootprint, BytesPerHostAtLeastHalvesPreSoaTotal) {
       << "below the pre-SoA layouts' " << presoa_per_host << " B";
 }
 
+TEST(MemoryFootprint, EmptyAggregateIsScalarsAndOnePointer) {
+  // A SOMO tree caches one aggregate per logical node and per child slot,
+  // most of them empty before reports flow: those hold no column block.
+  static_assert(sizeof(somo::AggregateReport) <= 48);
+  const somo::AggregateReport empty;
+  EXPECT_EQ(empty.MemoryBytes(), sizeof(somo::AggregateReport));
+  const somo::AggregateReport copy = empty;
+  EXPECT_EQ(copy.MemoryBytes(), sizeof(somo::AggregateReport));
+  somo::AggregateReport one;
+  one.Add(MakeReport(1));
+  EXPECT_GT(one.MemoryBytes(), sizeof(somo::AggregateReport));
+  // A cleared aggregate keeps its block; a copy of it holds none.
+  one.Clear();
+  EXPECT_GT(one.MemoryBytes(), sizeof(somo::AggregateReport));
+  const somo::AggregateReport copy_of_cleared = one;
+  EXPECT_EQ(copy_of_cleared.MemoryBytes(), sizeof(somo::AggregateReport));
+}
+
+TEST(MemoryFootprint, ChordRingStaysUnderBytesPerHostCeiling) {
+  // A Chord ring keeps fingers and leafsets of exactly r slots a side,
+  // and no prefix tables: 1,240 B a host at the 10k preset's host count
+  // with leafset 32, against 2,920 B with per-node prefix tables and
+  // leafset sides grown to r + 1 entries. Per-host joins leave the most
+  // (the sorted-membership cache grows geometrically).
+  dht::Ring ring(32);
+  for (std::size_t h = 0; h < kHosts; ++h) ring.JoinHashed(h);
+  ring.StabilizeAll();
+  const std::size_t per_host = ring.MemoryBytes() / kHosts;
+  EXPECT_LE(per_host, 1331u) << "ring routing state " << per_host
+                             << " B/host";
+}
+
 }  // namespace
 }  // namespace p2p

@@ -1,9 +1,10 @@
 // The converged-leafset refill as Ring::FillLeafsetFromSorted did it before
 // Leafset::Refill: Clear(), then for k = 1, 2, ... one sorted Insert of the
 // k-th successor and one of the k-th predecessor. Every Insert offers the
-// candidate to both sides, so the capacities this leaves depend on how far
-// each side grew on the way; tests/dht_leafset_test.cc pins Refill's
-// contents and HeapBytes() to it.
+// candidate to both sides; a side's first entry reserves exactly r slots
+// and a full side shifts in place, so each side this leaves holds r slots
+// once any other node exists (Clear keeps them). tests/dht_leafset_test.cc
+// pins Refill's contents and HeapBytes() to it.
 #pragma once
 
 #include <algorithm>

@@ -211,5 +211,86 @@ TEST(ReportCodec, RejectsBadVersionAndGarbage) {
   EXPECT_FALSE(DecodeAggregate(nullptr, 0, &dec));
 }
 
+// ------------------------------------------- aggregate value semantics --
+
+AggregateReport RandomAggregate(util::Rng& rng, std::size_t n) {
+  AggregateReport agg;
+  for (std::size_t i = 0; i < n; ++i)
+    agg.Add(RandomReport(rng, static_cast<dht::NodeIndex>(i), 5000.0));
+  return agg;
+}
+
+TEST(AggregateReportValue, CopiesAreDeep) {
+  util::Rng rng(31);
+  const AggregateReport source = RandomAggregate(rng, 12);
+  const std::vector<std::uint8_t> wire = EncodeAggregate(source);
+  const NodeReport extra = RandomReport(rng, 99, 6000.0);
+
+  AggregateReport constructed(source);  // copy construction
+  EXPECT_EQ(EncodeAggregate(constructed), wire);
+  constructed.Add(extra);
+
+  AggregateReport fresh;  // copy assignment into no columns
+  fresh = source;
+  fresh.Add(extra);
+
+  AggregateReport reused = RandomAggregate(rng, 30);  // into a used block
+  reused = source;
+  EXPECT_EQ(EncodeAggregate(reused), wire);
+  reused.Add(extra);
+  reused.MergeKeepFreshest(RandomAggregate(rng, 12));
+
+  AggregateReport cleared = source;
+  cleared.Clear();
+  EXPECT_TRUE(cleared.empty());
+  EXPECT_EQ(EncodeAggregate(source), wire);
+  EXPECT_EQ(source.size(), 12u);
+
+  // An empty source, copied or moved, empties the target and leaves it
+  // usable.
+  reused = cleared;
+  EXPECT_TRUE(reused.empty());
+  EXPECT_EQ(EncodeAggregate(reused), EncodeAggregate(cleared));
+  reused.Add(extra);
+  EXPECT_EQ(reused.size(), 1u);
+  reused = AggregateReport();
+  EXPECT_TRUE(reused.empty());
+  reused.Add(extra);
+  EXPECT_EQ(reused.size(), 1u);
+}
+
+TEST(AggregateReportValue, SelfAssignmentAndMovedFromAreSafe) {
+  util::Rng rng(37);
+  AggregateReport agg = RandomAggregate(rng, 9);
+  const std::vector<std::uint8_t> wire = EncodeAggregate(agg);
+  AggregateReport& alias = agg;
+  agg = alias;
+  EXPECT_EQ(EncodeAggregate(agg), wire);
+  agg = std::move(alias);
+  EXPECT_EQ(EncodeAggregate(agg), wire);
+
+  // A moved-from aggregate is an empty one: no records, default scalars,
+  // no column block, and usable again.
+  const AggregateReport empty;
+  const auto expect_empty_and_usable = [&](AggregateReport& from) {
+    EXPECT_TRUE(from.empty());
+    EXPECT_EQ(from.oldest, empty.oldest);
+    EXPECT_EQ(from.newest, empty.newest);
+    EXPECT_EQ(from.best_capacity_node, empty.best_capacity_node);
+    EXPECT_EQ(from.best_capacity, empty.best_capacity);
+    EXPECT_EQ(from.MemoryBytes(), sizeof(AggregateReport));
+    EXPECT_EQ(EncodeAggregate(from), EncodeAggregate(empty));
+    from.Add(RandomReport(rng, 7, 100.0));
+    EXPECT_EQ(from.size(), 1u);
+  };
+  AggregateReport constructed(std::move(agg));
+  EXPECT_EQ(EncodeAggregate(constructed), wire);
+  expect_empty_and_usable(agg);
+  AggregateReport assigned;
+  assigned = std::move(constructed);
+  EXPECT_EQ(EncodeAggregate(assigned), wire);
+  expect_empty_and_usable(constructed);
+}
+
 }  // namespace
 }  // namespace p2p::somo
