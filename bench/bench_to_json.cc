@@ -206,7 +206,8 @@ void BM_LatencyMatrixBuildOracle(benchmark::State& state) {
   const auto idx = rng.SampleIndices(fx.topo.host_count(), n);
   const std::vector<alm::ParticipantId> ids(idx.begin(), idx.end());
   for (auto _ : state) {
-    const alm::LatencyMatrix matrix(fx.topo.host_count(), ids, fx.oracle);
+    const alm::LatencyMatrix matrix(fx.topo.host_count(), ids,
+                                    alm::OracleLatency(fx.oracle));
     benchmark::DoNotOptimize(matrix.size());
   }
 }

@@ -2,7 +2,7 @@
 // and the planning entry points in alm/planner.h (TreePlanner behind the
 // alm::Planner interface); this header re-exports both so pre-interface
 // includers keep compiling for one release. New code should construct a
-// planner (directly or via PlannerRegistry) instead of calling
+// planner (directly or via CreatePlanner) instead of calling
 // PlanSession().
 #pragma once
 

@@ -129,20 +129,6 @@ class LatencyMatrix {
                 const std::vector<ParticipantId>& satellite_ids,
                 const LatencySource& latency);
 
-  // Oracle-direct builds (OracleLatency): participant ids must be host
-  // indices into `oracle`, which must outlive the matrix.
-  LatencyMatrix(std::size_t participant_space,
-                const std::vector<ParticipantId>& ids,
-                const net::LatencyOracle& oracle)
-      : LatencyMatrix(participant_space, ids, {}, OracleLatency(oracle)) {}
-
-  LatencyMatrix(std::size_t participant_space,
-                const std::vector<ParticipantId>& core_ids,
-                const std::vector<ParticipantId>& satellite_ids,
-                const net::LatencyOracle& oracle)
-      : LatencyMatrix(participant_space, core_ids, satellite_ids,
-                      OracleLatency(oracle)) {}
-
   // Session-local view: participant v stands for source id
   // `source_ids[v]`, so the participant space is source_ids.size() and the
   // id map is sized by the session, not by the source's id space. The
@@ -195,12 +181,6 @@ class LatencyMatrix {
   const double* CoreRow(ParticipantId v) const {
     P2P_DCHECK(Covers(v));
     return data_.data() + static_cast<std::size_t>(dense_[v]) * core_n_;
-  }
-
-  // Adapter for APIs that still take a LatencyFn. The returned function
-  // references this matrix; it must not outlive it.
-  LatencyFn AsFn() const {
-    return [this](ParticipantId a, ParticipantId b) { return (*this)(a, b); };
   }
 
  private:

@@ -17,13 +17,16 @@ LatencySource PlanInput::Truth() const {
   return OracleLatency(*oracle);
 }
 
-namespace {
-
-// Both LeafsetHybridLatency forms; `is_member(v)` answers membership for a
-// participant id.
-template <typename IsMember>
-LatencySource HybridLatency(IsMember is_member, LatencySource truth,
-                            LatencySource estimate) {
+LatencySource LeafsetHybridLatency(std::vector<ParticipantId> sorted_members,
+                                   LatencySource truth,
+                                   LatencySource estimate) {
+  // Shared, so the three kernels (and every copy of the source) hold one
+  // list.
+  auto members = std::make_shared<const std::vector<ParticipantId>>(
+      std::move(sorted_members));
+  const auto is_member = [members](ParticipantId v) {
+    return std::binary_search(members->begin(), members->end(), v);
+  };
   LatencyFn pair = [is_member, truth, estimate](ParticipantId a,
                                                 ParticipantId b) {
     return (is_member(a) && is_member(b)) ? truth(a, b) : estimate(a, b);
@@ -55,30 +58,6 @@ LatencySource HybridLatency(IsMember is_member, LatencySource truth,
       if (!is_member(as[k])) out[k] = estimate(as[k], b);
   };
   return LatencySource(std::move(pair), std::move(row), std::move(column));
-}
-
-}  // namespace
-
-LatencySource LeafsetHybridLatency(const std::vector<char>& is_member,
-                                   LatencySource truth,
-                                   LatencySource estimate) {
-  return HybridLatency(
-      [&is_member](ParticipantId v) { return is_member[v] != 0; },
-      std::move(truth), std::move(estimate));
-}
-
-LatencySource LeafsetHybridLatency(std::vector<ParticipantId> sorted_members,
-                                   LatencySource truth,
-                                   LatencySource estimate) {
-  // Shared, so the three kernels (and every copy of the source) hold one
-  // list.
-  auto members = std::make_shared<const std::vector<ParticipantId>>(
-      std::move(sorted_members));
-  return HybridLatency(
-      [members](ParticipantId v) {
-        return std::binary_search(members->begin(), members->end(), v);
-      },
-      std::move(truth), std::move(estimate));
 }
 
 std::size_t MaxFanout(const MulticastTree& tree) {
@@ -303,63 +282,20 @@ PlanResult TreePlanner::DoPlan(const PlanInput& input) {
   return result;
 }
 
-PlannerRegistry& PlannerRegistry::Instance() {
-  static PlannerRegistry registry;
-  return registry;
+std::vector<std::string> PlannerNames() {
+  return {"amcast",  "amcast+adj",  "critical", "critical+adj",
+          "leafset", "leafset+adj", "mesh",     "tree"};
 }
 
-PlannerRegistry::PlannerRegistry() {
-  factories_["tree"] = [] { return std::make_unique<TreePlanner>(); };
-  factories_["mesh"] = [] { return std::make_unique<MeshPlanner>(); };
-  // The six paper strategies, addressable by their CLI spellings so the
-  // conformance battery (and any config file) can reach every corner of
-  // the TreePlanner option cube through the factory.
-  for (const Strategy s :
-       {Strategy::kAmcast, Strategy::kAmcastAdjust, Strategy::kCritical,
-        Strategy::kCriticalAdjust, Strategy::kLeafset,
-        Strategy::kLeafsetAdjust}) {
-    std::string key;
-    switch (s) {
-      case Strategy::kAmcast: key = "amcast"; break;
-      case Strategy::kAmcastAdjust: key = "amcast+adj"; break;
-      case Strategy::kCritical: key = "critical"; break;
-      case Strategy::kCriticalAdjust: key = "critical+adj"; break;
-      case Strategy::kLeafset: key = "leafset"; break;
-      case Strategy::kLeafsetAdjust: key = "leafset+adj"; break;
-    }
-    factories_[key] = [s] {
-      return std::make_unique<TreePlanner>(OptionsForStrategy(s));
-    };
-  }
-}
-
-void PlannerRegistry::Register(const std::string& name, Factory factory) {
-  P2P_CHECK_MSG(factories_.find(name) == factories_.end(),
-                "planner already registered: " << name);
-  factories_[name] = std::move(factory);
-}
-
-bool PlannerRegistry::Contains(const std::string& name) const {
-  return factories_.find(name) != factories_.end();
-}
-
-std::unique_ptr<Planner> PlannerRegistry::Create(
-    const std::string& name) const {
-  const auto it = factories_.find(name);
-  if (it == factories_.end())
+std::unique_ptr<Planner> CreatePlanner(const std::string& name,
+                                       Strategy strategy,
+                                       const MeshOptions& mesh) {
+  const std::vector<std::string> names = PlannerNames();
+  if (!std::binary_search(names.begin(), names.end(), name))
     throw util::UsageError("unknown planner '" + name + "'");
-  return it->second();
-}
-
-std::vector<std::string> PlannerRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
-}
-
-std::unique_ptr<Planner> CreatePlanner(const std::string& name) {
-  return PlannerRegistry::Instance().Create(name);
+  if (name == "mesh") return std::make_unique<MeshPlanner>(mesh);
+  if (name != "tree") strategy = ParseStrategy(name);
+  return std::make_unique<TreePlanner>(OptionsForStrategy(strategy));
 }
 
 }  // namespace p2p::alm

@@ -10,16 +10,14 @@
 //                 unstructured mesh, exposed through the same PlanResult
 //                 vocabulary via per-source dissemination-tree extraction.
 //
-// Planners are looked up by name through PlannerRegistry — the CLI, pool
-// config, and conformance tests all go through the factory, so a new
-// planner registered here is automatically exercised by the whole stack.
+// CreatePlanner turns a name into a planner; the CLI experiments and the
+// conformance battery (which runs every name in PlannerNames()) both use
+// it, so a planner added there is exercised by both.
 // `PlanSession(input, strategy)` in alm/critical.h survives as a shim over
 // `TreePlanner` and is byte-identical to the pre-interface code path
 // (equivalence-test-enforced, including metric snapshots).
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,17 +91,11 @@ struct PlanResult {
 };
 
 // The Leafset strategies' planning latency: truth between two session
-// members (is_member[v] != 0, indexed by participant id), the estimate for
-// every pair that touches a non-member. Its row (column) kernel is built
-// from the truth and estimate rows (columns); `is_member` must outlive the
-// source.
-LatencySource LeafsetHybridLatency(const std::vector<char>& is_member,
-                                   LatencySource truth,
-                                   LatencySource estimate);
-// The same source with the membership given as the session's ascending,
-// duplicate-free member ids (root included), which it keeps: its state is
-// sized by the session instead of by the id space. TreePlanner plans with
-// this form.
+// members, the estimate for every pair that touches a non-member. The
+// membership is the session's ascending, duplicate-free member ids (root
+// included), which the source keeps: its state is sized by the session,
+// not by the id space. Its row (column) kernel is built from the truth and
+// estimate rows (columns).
 LatencySource LeafsetHybridLatency(std::vector<ParticipantId> sorted_members,
                                    LatencySource truth,
                                    LatencySource estimate);
@@ -126,7 +118,7 @@ class Planner {
  public:
   virtual ~Planner();
 
-  // Registry key and metric namespace component ("tree", "mesh").
+  // Metric namespace component ("tree", "mesh").
   virtual std::string name() const = 0;
 
   // True when Plan() reads PlanInput::estimated_latency.
@@ -182,31 +174,16 @@ class TreePlanner : public Planner {
   TreePlannerOptions options_;
 };
 
-// Name-keyed planner factory. Built-ins ("tree", "mesh", and the six
-// strategy spellings of ParseStrategy as TreePlanner configurations) are
-// registered in the constructor — deliberately not via static registrar
-// objects, which a static-library link would strip. Register() extends the
-// set at runtime (tests, future planners).
-class PlannerRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<Planner>()>;
+struct MeshOptions;  // alm/mesh.h
 
-  static PlannerRegistry& Instance();
-
-  // Throws util::CheckError when `name` is already registered.
-  void Register(const std::string& name, Factory factory);
-  bool Contains(const std::string& name) const;
-  // Throws util::UsageError on an unknown name.
-  std::unique_ptr<Planner> Create(const std::string& name) const;
-  // Sorted registered names.
-  std::vector<std::string> Names() const;
-
- private:
-  PlannerRegistry();
-  std::map<std::string, Factory> factories_;
-};
-
-// Shorthand for PlannerRegistry::Instance().Create(name).
-std::unique_ptr<Planner> CreatePlanner(const std::string& name);
+// The planner a name stands for: "tree" is a TreePlanner at `strategy`'s
+// corner of the option cube, "mesh" a MeshPlanner tuned by `mesh`, and the
+// six ParseStrategy spellings are TreePlanners at their own corners (they
+// ignore `strategy`). Throws util::UsageError on any other name.
+std::unique_ptr<Planner> CreatePlanner(const std::string& name,
+                                       Strategy strategy,
+                                       const MeshOptions& mesh);
+// Every name CreatePlanner accepts, sorted.
+std::vector<std::string> PlannerNames();
 
 }  // namespace p2p::alm

@@ -82,19 +82,6 @@ void CheckGroup(std::size_t group) {
     throw util::UsageError("--group must be at least 2 (a root and a member)");
 }
 
-// "tree" honors `strategy` (the six paper spellings name TreePlanner
-// option-cube corners); every other name goes through the registry, and
-// "mesh" takes the tuning knobs.
-std::unique_ptr<alm::Planner> MakePlanner(const std::string& name,
-                                          const std::string& strategy,
-                                          const alm::MeshOptions& mesh) {
-  const alm::Strategy s = alm::ParseStrategy(strategy);
-  if (name == "tree")
-    return std::make_unique<alm::TreePlanner>(alm::OptionsForStrategy(s));
-  if (name == "mesh") return std::make_unique<alm::MeshPlanner>(mesh);
-  return alm::CreatePlanner(name);
-}
-
 double AmcastBaseline(const alm::PlanInput& in) {
   return alm::TreePlanner(alm::OptionsForStrategy(alm::Strategy::kAmcast))
       .Plan(in)
@@ -213,7 +200,8 @@ void PartitionFirstEighth(sim::Simulation& sim, std::size_t hosts,
 
 Outcome RunPlan(const PlanConfig& c, std::FILE* progress) {
   CheckGroup(c.group);
-  const auto planner = MakePlanner(c.planner, c.strategy, c.mesh);
+  const auto planner =
+      alm::CreatePlanner(c.planner, alm::ParseStrategy(c.strategy), c.mesh);
 
   Progress(progress, "building pool (seed %llu) ...\n",
            static_cast<unsigned long long>(c.seed));
@@ -376,7 +364,8 @@ Outcome RunTopo(const TopoConfig& c, std::FILE* progress) {
 Outcome RunFullstack(const FullstackConfig& c, std::FILE* progress) {
   CheckStack(c.stack);
   CheckGroup(c.group);
-  const auto planner = MakePlanner(c.planner, c.strategy, c.mesh);
+  const auto planner =
+      alm::CreatePlanner(c.planner, alm::ParseStrategy(c.strategy), c.mesh);
   if (planner->NeedsEstimates())
     throw util::UsageError(
         "fullstack has no coordinate estimates; pick an oracle strategy "
@@ -535,7 +524,9 @@ Outcome RunCompare(const CompareConfig& c, std::FILE* progress) {
   CheckGroup(c.group);
   std::vector<std::pair<std::string, std::unique_ptr<alm::Planner>>> planners;
   for (const std::string& name : util::SplitList(c.planners)) {
-    planners.emplace_back(name, MakePlanner(name, c.strategy, c.mesh));
+    planners.emplace_back(
+        name,
+        alm::CreatePlanner(name, alm::ParseStrategy(c.strategy), c.mesh));
     if (planners.back().second->NeedsEstimates())
       throw util::UsageError("compare has no coordinate estimates; planner '" +
                              name + "' needs them");

@@ -31,7 +31,7 @@ struct PlanConfig {
   std::size_t group = 20;  // session size incl. root
   std::uint64_t seed = 1;
   std::string strategy = "leafset+adj";
-  std::string planner = "tree";  // tree (honors strategy) | mesh | registry
+  std::string planner = "tree";  // an alm::PlannerNames() entry
   alm::MeshOptions mesh;
   double radius_ms = 100.0;  // helper radius R
   double stream_kbps = 0.0;  // per-link stream rate (0 = off)

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "alm/latency_matrix.h"
@@ -50,12 +49,6 @@ struct PoolConfig {
 
   // Bandwidth estimation (leafset packet pair).
   bool build_bandwidth_estimates = true;
-
-  // Session planner the pool's task managers fall back to when
-  // TaskManagerOptions::planner is empty: an alm::PlannerRegistry name.
-  // "tree" is the paper's DB-MHT pipeline (configured per task manager by
-  // TaskManagerOptions::strategy); "mesh" the self-organizing mesh.
-  std::string default_planner = "tree";
 };
 
 // Sample one degree bound from the paper's 2^-i distribution.

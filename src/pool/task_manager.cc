@@ -9,17 +9,11 @@ namespace p2p::pool {
 
 TaskManager::TaskManager(ResourcePool& pool, alm::SessionSpec spec,
                          TaskManagerOptions options)
-    : pool_(pool), spec_(std::move(spec)), options_(std::move(options)) {
+    : pool_(pool),
+      spec_(std::move(spec)),
+      options_(std::move(options)),
+      planner_(alm::OptionsForStrategy(options_.strategy)) {
   P2P_CHECK(spec_.root < pool_.size());
-  // "tree" keeps the per-task-manager Strategy knob meaningful; any other
-  // registry name takes that planner's own defaults.
-  const std::string& planner_name = options_.planner.empty()
-                                        ? pool_.config().default_planner
-                                        : options_.planner;
-  planner_ = planner_name == "tree"
-                 ? std::make_unique<alm::TreePlanner>(
-                       alm::OptionsForStrategy(options_.strategy))
-                 : alm::CreatePlanner(planner_name);
   P2P_CHECK(spec_.priority >= somo::kHighestPriority &&
             spec_.priority <= somo::kLowestPriority);
   for (const alm::ParticipantId m : spec_.members)
@@ -135,7 +129,7 @@ ScheduleOutcome TaskManager::Schedule(const somo::AggregateReport* view) {
   // The oracle itself, not TrueLatencyFn(): same values, but planning fills
   // read it through its row kernel, as they read the coordinates' estimates.
   in.oracle = &pool_.oracle();
-  if (planner_->NeedsEstimates())
+  if (planner_.NeedsEstimates())
     in.estimated_latency = pool_.EstimatedLatencyFn();
   in.amcast = options_.amcast;
   in.adjust = options_.adjust;
@@ -146,7 +140,7 @@ ScheduleOutcome TaskManager::Schedule(const somo::AggregateReport* view) {
   // gracefully: report failure instead of crashing the market.
   alm::PlanResult plan{alm::MulticastTree(0), 0.0, 0.0, 0, {}, 0};
   try {
-    plan = planner_->Plan(in);
+    plan = planner_.Plan(in);
   } catch (const util::CheckError&) {
     return outcome;  // ok == false; previous reservation already released
   }

@@ -13,8 +13,6 @@
 // list and its tree as member records plus the tree's 4 B-per-id index.
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "alm/planner.h"
@@ -24,10 +22,7 @@
 namespace p2p::pool {
 
 struct TaskManagerOptions {
-  // alm::PlannerRegistry name; empty defers to PoolConfig::default_planner.
-  // "tree" builds a TreePlanner configured from `strategy` below; any other
-  // name is created through the registry (e.g. "mesh").
-  std::string planner;
+  // The session plans with a TreePlanner at this corner of its option cube.
   alm::Strategy strategy = alm::Strategy::kLeafsetAdjust;
   alm::AmcastOptions amcast;
   alm::AdjustOptions adjust;
@@ -100,7 +95,7 @@ class TaskManager {
   ResourcePool& pool_;
   alm::SessionSpec spec_;
   TaskManagerOptions options_;
-  std::unique_ptr<alm::Planner> planner_;
+  alm::TreePlanner planner_;
   std::vector<alm::ParticipantId> session_;  // root + members, ascending
   alm::MulticastTree tree_{0};
   bool scheduled_ = false;

@@ -16,19 +16,7 @@ AggregateReport::AggregateReport(const AggregateReport& other)
                           : std::make_unique<Columns>(*other.cols_)) {}
 
 AggregateReport& AggregateReport::operator=(const AggregateReport& other) {
-  if (this == &other) return *this;
-  oldest = other.oldest;
-  newest = other.newest;
-  best_capacity_node = other.best_capacity_node;
-  best_capacity = other.best_capacity;
-  if (other.empty()) {
-    if (cols_ != nullptr) cols_->Clear();
-  } else if (cols_ != nullptr) {
-    *cols_ = *other.cols_;  // column-wise, reusing this block's capacity
-  } else {
-    cols_ = std::make_unique<Columns>(*other.cols_);
-  }
-  return *this;
+  return *this = AggregateReport(other);
 }
 
 AggregateReport::AggregateReport(AggregateReport&& other) noexcept

@@ -133,10 +133,10 @@ struct NodeReport {
 //
 // The columns live in one block allocated on the first record, so an
 // aggregate that never held one is the four scalars and a null pointer
-// (40 B): a SOMO tree caches one per logical node and one per child slot,
-// most of them empty until reports flow. Copies deep-copy the block (an
-// empty source copies as no block); moves hand it over and leave the
-// source empty, with its scalars reset.
+// (40 B): a SOMO tree caches one per child slot, most of them empty until
+// reports flow. Copies deep-copy the block into a new one (an empty source
+// copies as no block; copy assignment is a copy, then a move); moves hand
+// it over and leave the source empty, with its scalars reset.
 class AggregateReport {
  public:
   sim::Time oldest = std::numeric_limits<double>::infinity();

@@ -180,9 +180,10 @@ void SomoProtocol::FireLogical(LogicalIndex l) {
   if (st == nullptr) return;  // tree shrank in a Rebuild
   const LogicalNode& ln = tree().node(l);
   if (!ring_.node(ln.owner).alive()) return;  // will be repaired by Rebuild
-  st->own = ComputeAggregate(l, *st);
+  AggregateReport agg = ComputeAggregate(l, *st);
+  st->oldest = agg.oldest;  // +inf when empty
   if (ln.is_root()) {
-    root_view_ = st->own;
+    root_view_ = std::move(agg);
     if (!root_view_.empty()) {
       ++gathers_completed_;
       m_gathers_->Inc();
@@ -191,10 +192,10 @@ void SomoProtocol::FireLogical(LogicalIndex l) {
     }
     return;
   }
-  PushToParent(l, st->own);
+  PushToParent(l, std::move(agg));
 }
 
-void SomoProtocol::PushToParent(LogicalIndex l, const AggregateReport& own) {
+void SomoProtocol::PushToParent(LogicalIndex l, AggregateReport agg) {
   const LogicalTree& t = tree();
   const LogicalNode& ln = t.node(l);
   const LogicalIndex parent = ln.parent;
@@ -216,10 +217,9 @@ void SomoProtocol::PushToParent(LogicalIndex l, const AggregateReport& own) {
           uncles[sim_.rng().NextBounded(uncles.size())];
       ++redundant_pushes_;
       m_redundant_->Inc();
-      AggregateReport payload = own;
-      const std::size_t wire = payload.SerializedBytes();
+      const std::size_t wire = agg.SerializedBytes();
       SendBetween(ln.owner, t.node(uncle).owner, kMsgRedundantPush, wire,
-                  [this, uncle, l, payload = std::move(payload)] {
+                  [this, uncle, l, payload = std::move(agg)]() mutable {
                     LogicalState* ust = StateOf(uncle);
                     if (!running_ || ust == nullptr) return;
                     auto& adopted = ust->adopted;
@@ -229,9 +229,9 @@ void SomoProtocol::PushToParent(LogicalIndex l, const AggregateReport& own) {
                           return a.from < v;
                         });
                     if (it != adopted.end() && it->from == l)
-                      it->agg = payload;
+                      it->agg = std::move(payload);
                     else
-                      adopted.insert(it, {l, payload});
+                      adopted.insert(it, {l, std::move(payload)});
                   });
       return;
     }
@@ -243,24 +243,22 @@ void SomoProtocol::PushToParent(LogicalIndex l, const AggregateReport& own) {
     if (pn.children[slot] == l) break;
   }
   P2P_CHECK(slot < pn.children.size());
-  AggregateReport payload = own;
-  const std::size_t wire = payload.SerializedBytes();
+  const std::size_t wire = agg.SerializedBytes();
   // The parent's owning instance records the push (== this when unbound),
   // so from_children rows are only written on their owner's shard.
   SomoProtocol* target = PeerForLogical(parent);
   SendBetween(ln.owner, pn.owner, kMsgPush, wire,
-              [target, parent, slot, l, payload = std::move(payload)] {
-                target->ReceivePush(parent, slot, l, payload);
+              [target, parent, slot, l, payload = std::move(agg)]() mutable {
+                target->ReceivePush(parent, slot, l, std::move(payload));
               });
 }
 
 void SomoProtocol::ReceivePush(LogicalIndex parent, std::size_t slot,
-                               LogicalIndex from,
-                               const AggregateReport& payload) {
+                               LogicalIndex from, AggregateReport payload) {
   if (!running_) return;
   LogicalState* st = StateOf(parent);
   if (st == nullptr || slot >= st->from_children.size()) return;
-  st->from_children[slot] = payload;
+  st->from_children[slot] = std::move(payload);
   // A direct push supersedes any adopted detour copy of this child.
   auto& adopted = st->adopted;
   const auto it = std::lower_bound(
@@ -291,8 +289,8 @@ void SomoProtocol::SyncDescend(LogicalIndex l, sim::Time arrival,
     const LogicalIndex parent = ln.parent;
     if (parent == kNoLogical) {
       // Root is itself a leaf: intra-host hand-off, not bus traffic.
-      sim_.At(arrival, [this, round, agg = std::move(agg)] {
-        root_view_ = agg;
+      sim_.At(arrival, [this, round, agg = std::move(agg)]() mutable {
+        root_view_ = std::move(agg);
         ++gathers_completed_;
         m_gathers_->Inc();
         RecordRootMetrics(round);
@@ -377,19 +375,19 @@ void SomoProtocol::RecordRootMetrics(std::uint64_t round) {
     }
   }
   // Per-level freshness: the oldest report inside any non-empty aggregate
-  // cached at each tree level (unsync gather only — internal caches are the
-  // source of the paper's ~log_k(N)·T root-staleness bound, and watching
-  // the age climb level by level makes that bound visible).
-  // A bound root owner sees only the caches of the nodes it owns.
+  // last computed at each tree level (unsync gather only — internal caches
+  // are the source of the paper's ~log_k(N)·T root-staleness bound, and
+  // watching the age climb level by level makes that bound visible).
+  // A bound root owner sees only the nodes it owns.
   const LogicalTree& t = tree();
   std::vector<double> level_age;
   for (LogicalIndex l = 0; l < t.size(); ++l) {
     const LogicalState* st = StateOf(l);
-    if (st == nullptr || st->own.empty()) continue;
-    const AggregateReport& agg = st->own;
+    if (st == nullptr || st->oldest == std::numeric_limits<double>::infinity())
+      continue;
     const std::size_t level = t.node(l).level;
     if (level_age.size() <= level) level_age.resize(level + 1, -1.0);
-    level_age[level] = std::max(level_age[level], now - agg.oldest);
+    level_age[level] = std::max(level_age[level], now - st->oldest);
   }
   for (std::size_t k = 0; k < level_age.size(); ++k) {
     if (level_age[k] < 0.0) continue;
@@ -530,7 +528,6 @@ std::size_t SomoProtocol::MemoryBytes() const {
   total += state_.capacity() * sizeof(LogicalState);
   total += owners_.capacity() * sizeof(std::uint32_t);
   for (const LogicalState& st : state_) {
-    total += st.own.MemoryBytes() - sizeof(AggregateReport);
     total += st.from_children.capacity() * sizeof(AggregateReport);
     for (const auto& c : st.from_children)
       total += c.MemoryBytes() - sizeof(AggregateReport);

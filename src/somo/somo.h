@@ -19,6 +19,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -77,8 +78,10 @@ class SomoProtocol {
   void Start();
   void Stop();
 
-  // Recompute the logical tree for current membership (after churn). Child
-  // aggregate caches survive where the logical node persists.
+  // Recompute the logical tree for current membership (after churn). Every
+  // logical node's state starts over empty (its child aggregates and
+  // adopted detour copies are dropped), so until the next gather climbs
+  // the new tree only the root view survives.
   void Rebuild();
 
   // --- sharding -----------------------------------------------------------
@@ -100,9 +103,10 @@ class SomoProtocol {
                  std::vector<SomoProtocol*> peers);
 
   // Delivery of a child's upward push: runs on the parent's owning
-  // instance (== this instance when unbound).
+  // instance (== this instance when unbound) and moves `payload` into the
+  // parent's `from_children[slot]`, replacing the child's previous one.
   void ReceivePush(LogicalIndex parent, std::size_t slot, LogicalIndex from,
-                   const AggregateReport& payload);
+                   AggregateReport payload);
 
   // The logical tree over the ring's alive membership, built on first use
   // (at the latest by Start). Bound instances all return the one tree held
@@ -172,8 +176,10 @@ class SomoProtocol {
   void AllocateState();
   void ScheduleLogicalTimers();
   void FireLogical(LogicalIndex l);
-  // Send l's freshly computed aggregate `own` up the tree.
-  void PushToParent(LogicalIndex l, const AggregateReport& own);
+  // Send l's freshly computed aggregate up the tree. The message carries
+  // `agg` itself: it lands in the parent's from_children slot (or, on a
+  // redundant-link detour, an uncle's adopted table) without a copy.
+  void PushToParent(LogicalIndex l, AggregateReport agg);
   AggregateReport ComputeAggregate(LogicalIndex l,
                                    const LogicalState& st) const;
   void OnRootViewRefreshed();
@@ -217,8 +223,6 @@ class SomoProtocol {
   const std::vector<std::uint32_t>* shard_of_host_ = nullptr;
   std::vector<SomoProtocol*> peers_;
 
-  // Per logical node: cached aggregate most recently computed/pushed, and
-  // the aggregates received from children (index into children vector).
   // In-flight synchronised gather at one logical node; rounds may overlap
   // when the cascade round-trip exceeds the reporting interval, so each
   // round keeps its own accumulator.
@@ -239,8 +243,15 @@ class SomoProtocol {
     std::uint64_t round;
     PendingGather gather;
   };
+  // Per logical node: the latest aggregate received from each child (by
+  // position in the node's children vector) and the age of its own last
+  // output. A node keeps no copy of what it computes: the aggregate moves
+  // on to its parent (or into root_view_ at the root), and only its oldest
+  // report time stays behind for the somo.level<k>.age_ms gauges.
   struct LogicalState {
-    AggregateReport own;  // leaf: last local report; internal: last merge
+    // Oldest report in the last aggregate this node computed; +inf until
+    // it computes one, and whenever the last one was empty.
+    sim::Time oldest = std::numeric_limits<double>::infinity();
     std::vector<AggregateReport> from_children;
     // Aggregates adopted from "nephews" whose parent's host is dead
     // (redundant-links mode), keyed by the pushing logical node; sorted by
@@ -301,9 +312,9 @@ class SomoProtocol {
 
  public:
   // Resident bytes of this protocol instance's per-logical-node state
-  // (cached aggregates, the bound owner table on the shard-0 peer,
-  // dissemination views, timers; not the logical tree). Feeds the
-  // mem.bytes_per_host gauge.
+  // (child and adopted aggregates, in-flight sync rounds, the root view,
+  // the bound owner table on the shard-0 peer, dissemination views,
+  // timers; not the logical tree). Feeds the mem.bytes_per_host gauge.
   std::size_t MemoryBytes() const;
 };
 

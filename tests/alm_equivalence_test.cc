@@ -174,12 +174,5 @@ TEST(LatencyMatrix, DiagonalIsZero) {
   EXPECT_DOUBLE_EQ(m(0, 1), 1.0);
 }
 
-TEST(LatencyMatrix, AsFnDelegates) {
-  const LatencyFn fn = HashLatency(23);
-  const LatencyMatrix m(8, {1, 3, 6}, fn);
-  const LatencyFn view = m.AsFn();
-  EXPECT_DOUBLE_EQ(view(1, 6), fn(1, 6));
-}
-
 }  // namespace
 }  // namespace p2p::alm

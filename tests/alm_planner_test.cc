@@ -2,17 +2,17 @@
 //
 //   1. Shim equivalence: a verbatim copy of the pre-interface PlanSession
 //      implementation is retained here as the reference; for every Strategy
-//      the PlanSession shim AND the registry-created planner must reproduce
-//      its PlanResult exactly — including the metric-registry snapshot
-//      bytes — so routing the six paper strategies through alm::Planner is
-//      provably a pure refactor.
-//   2. Conformance battery: every planner the registry knows (tree, mesh,
-//      the six strategy spellings, and whatever gets registered later) is
-//      run through one parameterized suite: determinism across repeats,
-//      all-members-covered, root-is-source, degree-table respected, and a
-//      Repair() that reconnects exactly the survivors.
-//   3. Registry/options plumbing: factory lookups, duplicate registration,
-//      the planner_metrics opt-in namespace, and the option-cube mapping.
+//      the PlanSession shim AND the CreatePlanner-made planner must
+//      reproduce its PlanResult exactly — including the metric-registry
+//      snapshot bytes — so routing the six paper strategies through
+//      alm::Planner is provably a pure refactor.
+//   2. Conformance battery: every name in PlannerNames() (tree, mesh and
+//      the six strategy spellings) is run through one parameterized suite:
+//      determinism across repeats, all-members-covered, root-is-source,
+//      degree-table respected, and a Repair() that reconnects exactly the
+//      survivors.
+//   3. Factory/options plumbing: name lookups, the planner_metrics opt-in
+//      namespace, and the option-cube mapping.
 //   4. Row fills: matrices and plans built through the oracle's and the
 //      Leafset hybrid's row kernels equal the per-pair reference bit for
 //      bit.
@@ -143,7 +143,7 @@ PlanResult PlanSessionReference(const PlanInput& input, Strategy strategy) {
                                                : std::vector<ParticipantId>{};
   const LatencyMatrix planning_matrix =
       oracle_direct ? LatencyMatrix(input.degree_bounds.size(), core_ids,
-                                    satellite_ids, *oracle)
+                                    satellite_ids, OracleLatency(*oracle))
                     : LatencyMatrix(input.degree_bounds.size(), core_ids,
                                     satellite_ids, planning);
 
@@ -155,7 +155,7 @@ PlanResult PlanSessionReference(const PlanInput& input, Strategy strategy) {
     const LatencyMatrix true_matrix =
         oracle != nullptr && input.true_latency == nullptr
             ? LatencyMatrix(input.degree_bounds.size(), result.tree.members(),
-                            *oracle)
+                            OracleLatency(*oracle))
             : LatencyMatrix(input.degree_bounds.size(), result.tree.members(),
                             truth);
     result.adjust_stats = AdjustTree(result.tree, input.degree_bounds,
@@ -182,7 +182,7 @@ constexpr Strategy kAllStrategies[] = {
     Strategy::kCriticalAdjust, Strategy::kLeafset, Strategy::kLeafsetAdjust,
 };
 
-const char* RegistrySpelling(Strategy s) {
+const char* PlannerSpelling(Strategy s) {
   switch (s) {
     case Strategy::kAmcast: return "amcast";
     case Strategy::kAmcastAdjust: return "amcast+adj";
@@ -226,7 +226,8 @@ TEST(PlannerShim, AllStrategiesByteIdenticalToPreInterfacePlanSession) {
       PlanInput factory_in = base;
       factory_in.metrics = &factory_reg;
       const PlanResult factory =
-          CreatePlanner(RegistrySpelling(s))->Plan(factory_in);
+          CreatePlanner(PlannerSpelling(s), Strategy::kCriticalAdjust, {})
+              ->Plan(factory_in);
 
       ExpectIdenticalPlans(shim, ref);
       ExpectIdenticalPlans(factory, ref);
@@ -320,7 +321,8 @@ TEST(RowFill, OracleRowsMatchPerPairFill) {
         return oracle->Latency(a, b);
       };
       ExpectIdenticalMatrices(
-          LatencyMatrix(pool.size(), s.core, s.satellites, *oracle),
+          LatencyMatrix(pool.size(), s.core, s.satellites,
+                        OracleLatency(*oracle)),
           LatencyMatrix(pool.size(), s.core, s.satellites, per_pair), s.all);
     }
   }
@@ -333,10 +335,11 @@ TEST(RowFill, LeafsetHybridRowsMatchReferenceHybrid) {
   };
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const PoolSession s = MakePoolSession(pool, seed);
-    std::vector<char> is_member(pool.size(), 0);
-    for (const ParticipantId v : s.core) is_member[v] = 1;
-    const LatencySource hybrid = LeafsetHybridLatency(
-        is_member, OracleLatency(pool.oracle()), pool.EstimatedLatencyFn());
+    std::vector<ParticipantId> members = s.core;
+    std::sort(members.begin(), members.end());
+    const LatencySource hybrid =
+        LeafsetHybridLatency(std::move(members), OracleLatency(pool.oracle()),
+                             pool.EstimatedLatencyFn());
     const LatencyFn reference = ReferenceLeafsetHybrid(s.input, truth);
     ExpectIdenticalMatrices(
         LatencyMatrix(pool.size(), s.core, s.satellites, hybrid),
@@ -391,34 +394,39 @@ TEST(PlannerOptions, StrategyMapsToOptionCubeCorner) {
   }
 }
 
-TEST(PlannerRegistry, BuiltinsPresentAndUnknownThrows) {
-  auto& reg = PlannerRegistry::Instance();
-  EXPECT_TRUE(reg.Contains("tree"));
-  EXPECT_TRUE(reg.Contains("mesh"));
-  for (const Strategy s : kAllStrategies)
-    EXPECT_TRUE(reg.Contains(RegistrySpelling(s))) << RegistrySpelling(s);
-  EXPECT_FALSE(reg.Contains("no-such-planner"));
-  EXPECT_THROW(reg.Create("no-such-planner"), util::CheckError);
-  EXPECT_EQ(reg.Create("mesh")->name(), "mesh");
-  const auto names = reg.Names();
-  EXPECT_GE(names.size(), 8u);
+TEST(PlannerFactory, BuiltinsPresentAndUnknownThrows) {
+  const std::vector<std::string> names = PlannerNames();
+  EXPECT_EQ(names.size(), 8u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-}
-
-TEST(PlannerRegistry, RegisterExtendsAndRejectsDuplicates) {
-  auto& reg = PlannerRegistry::Instance();
-  if (!reg.Contains("test-tree-alias")) {
-    reg.Register("test-tree-alias",
-                 [] { return std::make_unique<TreePlanner>(); });
+  const auto named = [&names](const std::string& name) {
+    return std::binary_search(names.begin(), names.end(), name);
+  };
+  EXPECT_TRUE(named("tree"));
+  EXPECT_TRUE(named("mesh"));
+  EXPECT_FALSE(named("no-such-planner"));
+  EXPECT_THROW(CreatePlanner("no-such-planner", Strategy::kCriticalAdjust, {}),
+               util::UsageError);
+  // "tree" takes the strategy argument; a strategy spelling names its own
+  // corner of the option cube whatever the argument says.
+  for (const Strategy s : kAllStrategies) {
+    EXPECT_TRUE(named(PlannerSpelling(s))) << PlannerSpelling(s);
+    const auto tree = CreatePlanner("tree", s, {});
+    const auto spelled =
+        CreatePlanner(PlannerSpelling(s), Strategy::kAmcast, {});
+    for (const Planner* p : {tree.get(), spelled.get()}) {
+      const auto* t = dynamic_cast<const TreePlanner*>(p);
+      ASSERT_NE(t, nullptr) << PlannerSpelling(s);
+      EXPECT_EQ(t->options().use_helpers, StrategyUsesHelpers(s));
+      EXPECT_EQ(t->options().use_adjust, StrategyUsesAdjust(s));
+      EXPECT_EQ(t->options().use_estimates, StrategyUsesEstimates(s));
+    }
   }
-  EXPECT_TRUE(reg.Contains("test-tree-alias"));
-  EXPECT_EQ(reg.Create("test-tree-alias")->name(), "tree");
-  EXPECT_THROW(reg.Register("test-tree-alias",
-                            [] { return std::make_unique<TreePlanner>(); }),
-               util::CheckError);
-  EXPECT_THROW(
-      reg.Register("tree", [] { return std::make_unique<TreePlanner>(); }),
-      util::CheckError);
+  MeshOptions tuned;
+  tuned.target_degree = 3;
+  const auto mesh = CreatePlanner("mesh", Strategy::kCriticalAdjust, tuned);
+  EXPECT_EQ(mesh->name(), "mesh");
+  EXPECT_EQ(dynamic_cast<const MeshPlanner&>(*mesh).options().target_degree,
+            3u);
 }
 
 TEST(PlannerMetrics, OptInNamespaceRecordedOnlyWhenRequested) {
@@ -464,7 +472,9 @@ TEST(SessionSpecAllMembers, AppendVariantMatchesAndAppends) {
 
 class PlannerConformance : public ::testing::TestWithParam<std::string> {
  protected:
-  std::unique_ptr<Planner> Make() const { return CreatePlanner(GetParam()); }
+  std::unique_ptr<Planner> Make() const {
+    return CreatePlanner(GetParam(), Strategy::kCriticalAdjust, {});
+  }
 };
 
 TEST_P(PlannerConformance, DeterministicAcrossRepeatsAndInstances) {
@@ -533,8 +543,7 @@ TEST_P(PlannerConformance, RepairReconnectsExactlyTheSurvivors) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllRegistered, PlannerConformance,
-    ::testing::ValuesIn(PlannerRegistry::Instance().Names()),
+    AllRegistered, PlannerConformance, ::testing::ValuesIn(PlannerNames()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (auto& c : name)

@@ -79,11 +79,14 @@ double Gauge(const std::string& json, const std::string& name) {
 TEST(ExpFullstack, BytesPerHostStayUnderCeiling) {
   // Per-host protocol state on the paper's 1200 preset, serial kernel: a
   // Chord ring keeps no prefix tables, leafset sides hold r slots and an
-  // empty SOMO aggregate holds no columns. The per-layer gauges add up to
+  // empty SOMO aggregate holds no columns. A SOMO logical node keeps its
+  // children's latest aggregates but no copy of its own output, which
+  // holds the SOMO part to 1,500 B a host. The per-layer gauges add up to
   // the total the ceiling bounds.
   const std::string json = RunFullstack(SmallFullstack(1)).report.ToJson();
   const double total = Result(json, "mem_bytes_per_host");
   EXPECT_LE(total, 6000.0);
+  EXPECT_LE(Gauge(json, "mem.somo_bytes_per_host"), 1500.0);
   EXPECT_EQ(Gauge(json, "mem.bytes_per_host"), total);
   double parts = 0.0;
   for (const char* layer : {"ring", "heartbeat", "somo", "transport"}) {

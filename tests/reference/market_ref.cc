@@ -13,15 +13,8 @@ TaskManagerRef::TaskManagerRef(pool::ResourcePool& pool,
     : pool_(pool), registry_(registry), spec_(std::move(spec)),
       options_(std::move(options)), tree_(pool.size()) {
   P2P_CHECK(spec_.root < pool_.size());
-  // "tree" keeps the per-task-manager Strategy knob meaningful; any other
-  // registry name takes that planner's own defaults.
-  const std::string& planner_name = options_.planner.empty()
-                                        ? pool_.config().default_planner
-                                        : options_.planner;
-  planner_ = planner_name == "tree"
-                 ? std::make_unique<alm::TreePlanner>(
-                       alm::OptionsForStrategy(options_.strategy))
-                 : alm::CreatePlanner(planner_name);
+  planner_ = std::make_unique<alm::TreePlanner>(
+      alm::OptionsForStrategy(options_.strategy));
   P2P_CHECK(spec_.priority >= somo::kHighestPriority &&
             spec_.priority <= somo::kLowestPriority);
   is_member_.assign(pool_.size(), 0);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "dht/heartbeat.h"
 #include "dht/ring.h"
@@ -125,6 +128,40 @@ TEST(SomoProtocol, UnsyncStalenessBoundedByDepthTimesInterval) {
   EXPECT_LE(somo->RootStalenessMs(), bound);
 }
 
+// Per-level freshness gauges (somo.level<k>.age_ms, root at level 0). A
+// node keeps only the oldest report time of its last aggregate, and a
+// parent's aggregate holds an older-or-equal copy of each child's, so the
+// age never falls on the way up: the root's level reads the root view's
+// staleness and the deepest level, all leaves, is at most one interval old.
+TEST(SomoProtocol, LevelAgeGaugesGrowTowardTheRoot) {
+  SomoFixture f(64);
+  SomoConfig cfg;
+  cfg.fanout = 4;
+  cfg.report_interval_ms = 500.0;
+  auto somo = f.MakeProtocol(cfg);
+  somo->Start();
+  f.sim.RunUntil(20000.0);
+  ASSERT_TRUE(somo->RootViewComplete());
+  const std::size_t depth = somo->tree().depth();
+  ASSERT_GE(depth, 3u);
+  const auto& gauges = f.sim.metrics().gauges();
+  const auto level_gauge = [](std::size_t k) {
+    return "somo.level" + std::to_string(k) + ".age_ms";
+  };
+  std::vector<double> age;
+  for (std::size_t k = 0; k < depth; ++k) {
+    const auto it = gauges.find(level_gauge(k));
+    ASSERT_NE(it, gauges.end()) << level_gauge(k);
+    age.push_back(it->second.value());
+  }
+  EXPECT_EQ(gauges.count(level_gauge(depth)), 0u);
+  EXPECT_EQ(age[0], f.sim.metrics().Value("somo.root.staleness_ms"));
+  for (std::size_t k = 1; k < depth; ++k)
+    EXPECT_LE(age[k], age[k - 1]) << level_gauge(k);
+  EXPECT_LE(age[depth - 1], cfg.report_interval_ms);
+  EXPECT_GT(age[0], age[depth - 1]);
+}
+
 TEST(SomoProtocol, StalenessInfiniteBeforeFirstGather) {
   SomoFixture f(10);
   auto somo = f.MakeProtocol(SomoConfig{});
@@ -182,6 +219,36 @@ TEST(SomoProtocol, RebuildAfterFailureRestoresCompleteView) {
   f.sim.RunUntil(f.sim.now() + 15000.0);
   EXPECT_TRUE(somo->RootViewComplete());
   EXPECT_EQ(somo->RootReport().size(), 37u);
+}
+
+// Rebuild starts every logical node's state over: the child aggregates go,
+// and only the root view survives until the gather climbs the new tree.
+TEST(SomoProtocol, RebuildKeepsOnlyTheRootView) {
+  SomoConfig cfg;
+  cfg.fanout = 4;
+  cfg.report_interval_ms = 500.0;
+  SomoFixture f(40);
+  auto somo = f.MakeProtocol(cfg);
+  somo->Start();
+  f.sim.RunUntil(15000.0);
+  ASSERT_TRUE(somo->RootViewComplete());
+  const std::vector<std::uint8_t> view = EncodeAggregate(somo->RootReport());
+
+  somo->Rebuild();  // same membership, so the same tree
+  EXPECT_EQ(EncodeAggregate(somo->RootReport()), view);
+  // Byte for byte what a started instance that has not gathered yet holds,
+  // plus the surviving root view.
+  SomoFixture twin(40);
+  auto fresh = twin.MakeProtocol(cfg);
+  fresh->Start();
+  ASSERT_EQ(fresh->tree().size(), somo->tree().size());
+  EXPECT_EQ(somo->MemoryBytes(),
+            fresh->MemoryBytes() + somo->RootReport().MemoryBytes() -
+                sizeof(AggregateReport));
+
+  f.sim.RunUntil(f.sim.now() + 15000.0);
+  EXPECT_TRUE(somo->RootViewComplete());
+  EXPECT_EQ(somo->RootReport().size(), 40u);
 }
 
 TEST(SomoProtocol, QueryFromNodeRoutesToRootOwner) {

@@ -259,6 +259,31 @@ TEST(AggregateReportValue, CopiesAreDeep) {
   EXPECT_EQ(reused.size(), 1u);
 }
 
+// Copy assignment is a copy, then a move: the target ends up holding what a
+// copy-constructed aggregate holds, whatever block it had before (a larger
+// one is released, not reused), and an empty source leaves no block.
+TEST(AggregateReportValue, CopyAssignmentHoldsExactlyAFreshCopy) {
+  util::Rng rng(41);
+  const AggregateReport source = RandomAggregate(rng, 5);
+  const AggregateReport copy(source);
+
+  AggregateReport target = RandomAggregate(rng, 40);
+  ASSERT_GT(target.MemoryBytes(), copy.MemoryBytes());
+  target = source;
+  EXPECT_EQ(EncodeAggregate(target), EncodeAggregate(source));
+  EXPECT_EQ(target.MemoryBytes(), copy.MemoryBytes());
+  EXPECT_EQ(target.oldest, source.oldest);
+  EXPECT_EQ(target.newest, source.newest);
+  EXPECT_EQ(target.best_capacity_node, source.best_capacity_node);
+  EXPECT_EQ(target.best_capacity, source.best_capacity);
+
+  const AggregateReport empty;
+  target = empty;
+  EXPECT_TRUE(target.empty());
+  EXPECT_EQ(target.MemoryBytes(), sizeof(AggregateReport));
+  EXPECT_EQ(EncodeAggregate(target), EncodeAggregate(empty));
+}
+
 TEST(AggregateReportValue, SelfAssignmentAndMovedFromAreSafe) {
   util::Rng rng(37);
   AggregateReport agg = RandomAggregate(rng, 9);
