@@ -31,7 +31,7 @@ std::optional<double> PacketPairProbe::Probe(std::size_t from_host,
     msg.bytes = static_cast<std::size_t>(2.0 * options_.packet_bytes);
     sim::SendOptions opts;
     opts.inline_delivery = true;
-    if (!transport_->Send(msg, nullptr, opts)) {
+    if (!transport_->Send(msg, [] {}, opts)) {
       ++probes_;
       ++dropped_;
       if (m_probes_ != nullptr) {

@@ -8,32 +8,6 @@ namespace p2p::dht {
 
 namespace {
 
-using HeardRow = std::vector<std::pair<NodeIndex, sim::Time>>;
-
-// Sorted-row lookups for the flat last_heard_/suspected_ state.
-sim::Time* FindHeard(HeardRow& row, NodeIndex m) {
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), m,
-      [](const std::pair<NodeIndex, sim::Time>& p, NodeIndex key) {
-        return p.first < key;
-      });
-  if (it != row.end() && it->first == m) return &it->second;
-  return nullptr;
-}
-
-void SetHeard(HeardRow& row, NodeIndex m, sim::Time t) {
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), m,
-      [](const std::pair<NodeIndex, sim::Time>& p, NodeIndex key) {
-        return p.first < key;
-      });
-  if (it != row.end() && it->first == m) {
-    it->second = t;
-  } else {
-    row.insert(it, {m, t});
-  }
-}
-
 // Returns true when `m` was newly inserted.
 bool SortedInsert(std::vector<NodeIndex>& set, NodeIndex m) {
   const auto it = std::lower_bound(set.begin(), set.end(), m);
@@ -54,7 +28,7 @@ bool SortedErase(std::vector<NodeIndex>& set, NodeIndex m) {
 
 HeartbeatProtocol::HeartbeatProtocol(sim::Simulation& sim, Ring& ring,
                                      Config config)
-    : sim_(sim), ring_(ring), config_(config) {
+    : sim_(sim), ring_(ring), config_(config), heard_(ring.leafset_size()) {
   P2P_CHECK(config_.period_ms > 0.0);
   P2P_CHECK(config_.timeout_ms > config_.period_ms);
   auto& reg = sim_.metrics();
@@ -72,7 +46,6 @@ void HeartbeatProtocol::Start() {
   // The bus charges the same host-to-host delays the protocol used to
   // compute itself; keep its oracle in sync with the ring's.
   if (ring_.oracle() != nullptr) sim_.transport().set_oracle(ring_.oracle());
-  last_heard_.resize(ring_.size());
   detected_.assign(ring_.size(), 0);
   suspected_.resize(ring_.size());
   // First beats: the phase draws InsertBeat would make, in the same node
@@ -92,6 +65,8 @@ void HeartbeatProtocol::Start() {
                      return a.first < b.first;
                    });
   beat_cursor_ = beat_order_.size();
+  // A last-heard block per beating node; nodes that join later grow it.
+  heard_.Reserve(ring_.size(), beat_order_.size());
   ScheduleSweep();
 }
 
@@ -117,8 +92,7 @@ void HeartbeatProtocol::Stop() {
 
 void HeartbeatProtocol::OnNodeJoined(NodeIndex n) {
   if (!running_) return;
-  if (last_heard_.size() <= n) {
-    last_heard_.resize(n + 1);
+  if (detected_.size() <= n) {
     detected_.resize(n + 1, 0);
     suspected_.resize(n + 1);
   }
@@ -194,25 +168,32 @@ void HeartbeatProtocol::ScheduleSweep() {
 }
 
 void HeartbeatProtocol::Beat(NodeIndex n) {
-  if (!running_ || !ring_.node(n).alive()) return;
+  if (!running_ || !ring_.alive(n)) return;
   const sim::Time now = sim_.now();
-  ring_.node(n).leafset().ForEachMember([&](const LeafsetEntry& e) {
+  const Node& node = ring_.node(n);
+  const net::HostIdx src_host = node.host();
+  const auto from = static_cast<std::uint32_t>(n);
+  sim::SendOptions opts;
+  opts.fallback_delay_ms = config_.default_delay_ms;
+  node.leafset().ForEachMember([&](const LeafsetEntry& e) {
     ++sent_;
     m_sent_->Inc();
-    const NodeIndex to = e.node;
     sim::Message msg;
-    msg.src_host = ring_.node(n).host();
-    msg.dst_host = ring_.node(to).host();
+    msg.src_host = src_host;
+    msg.dst_host = ring_.node(e.node).host();
     msg.protocol = sim::Protocol::kHeartbeat;
     msg.bytes = kHeartbeatBytes;
-    sim::SendOptions opts;
-    opts.fallback_delay_ms = config_.default_delay_ms;
-    // The receiver's owning instance records the delivery: its state rows
-    // for `to` are only ever touched on its own shard. `peer == this` when
-    // unbound, so the serial path is unchanged.
-    HeartbeatProtocol* peer = PeerForNode(to);
-    sim_.transport().Send(
-        msg, [peer, n, to, now] { peer->Deliver(n, to, now); }, opts);
+    // The receiver's owning instance records the delivery: its liveness
+    // block and suspicion row for `to` are only ever touched on its own
+    // shard. `peer == this` when unbound, so the serial path is unchanged.
+    HeartbeatProtocol* peer = PeerForHost(msg.dst_host);
+    const auto to = static_cast<std::uint32_t>(e.node);
+    auto deliver = [peer, from, to, now] { peer->Deliver(from, to, now); };
+    static_assert(sizeof(sim::Transport::Delivery<decltype(deliver)>) ==
+                      util::InlineFn::kInlineBytes,
+                  "a heartbeat's event must fill, not overflow, the inline "
+                  "buffer");
+    sim_.transport().Send(msg, deliver, opts);
   });
   CheckTimeouts(n);
 }
@@ -223,10 +204,10 @@ void HeartbeatProtocol::Deliver(NodeIndex from, NodeIndex to,
   // A crashed sender's in-flight messages are dropped (it "stopped
   // responding" at fail time, and Beat checks liveness at send time, so
   // this only filters messages racing a failure).
-  if (!ring_.node(from).alive() || !ring_.node(to).alive()) return;
+  if (!ring_.alive(from) || !ring_.alive(to)) return;
   ++delivered_;
   m_delivered_->Inc();
-  SetHeard(last_heard_[to], from, sim_.now());
+  heard_.Set(to, from, sim_.now());
   // Hearing from a suspect clears the suspicion (it was a false alarm or
   // the network healed).
   if (config_.suspect_alive && SortedErase(suspected_[to], from))
@@ -236,65 +217,75 @@ void HeartbeatProtocol::Deliver(NodeIndex from, NodeIndex to,
 
 void HeartbeatProtocol::CheckTimeouts(NodeIndex n) {
   const sim::Time now = sim_.now();
-  // A snapshot, not ForEachMember: Ring::DetectFailure below refills n's own
-  // leafset (and every other) while this loop is still walking it.
-  for (const auto& e : ring_.node(n).leafset().Members()) {
-    const NodeIndex m = e.node;
-    if (ring_.node(m).alive()) {
-      // Suspicion (suspect_alive mode): a member we *have* heard from
-      // before has gone silent past the timeout. Requiring one prior
-      // delivery avoids flagging everyone during start-up warm-up.
-      if (!config_.suspect_alive) continue;
-      const sim::Time* heard = FindHeard(last_heard_[n], m);
-      if (heard == nullptr) continue;
-      if (now - *heard < config_.timeout_ms) continue;
-      if (!SortedInsert(suspected_[n], m)) continue;  // already suspected
-      ++suspicions_;
-      ++false_suspicions_;  // m is alive: by definition a false positive
-      m_suspicions_->Inc();
-      m_false_suspicions_->Inc();
-      for (const auto& obs : suspicion_observers_) obs(n, m, now, true);
-      continue;
-    }
-    const sim::Time* found = FindHeard(last_heard_[n], m);
-    const sim::Time heard = found == nullptr ? 0.0 : *found;
-    if (now - heard < config_.timeout_ms) continue;
-    // Sensor mode (auto_repair off): every detector independently marks the
-    // silent member in its own suspect set — the dead node never beats
-    // again, so the suspicion persists and rides the in-band telemetry
-    // until an external reactor repairs membership.
-    if (!config_.auto_repair) SortedInsert(suspected_[n], m);
-    if (detected_[m]) continue;
-    detected_[m] = 1;
-    ++failures_detected_;
-    m_failures_->Inc();
-    if (config_.suspect_alive) {
-      // The unified suspicion stream also sees true positives, so
-      // false_suspicions() / suspicions() is a meaningful FP rate.
-      ++suspicions_;
-      m_suspicions_->Inc();
-      for (const auto& obs : suspicion_observers_) obs(n, m, now, false);
-    }
-    if (config_.auto_repair) {
-      // Failure detection rewrites shared ring membership (DetectFailure
-      // below) and races lazily-sorted ring views; multi-shard runs keep
-      // membership frozen during windows, so a detection there is a bug.
-      P2P_CHECK_MSG(peers_.size() <= 1,
-                    "failure detection is unsupported in multi-shard runs");
-      // First detection triggers ring-wide cleanup, standing in for the
-      // rapid propagation of the death notice through leafset exchanges.
-      ring_.DetectFailure(m);
-    }
-    for (const auto& obs : failure_observers_) obs(n, m, now);
+  const Leafset& leafset = ring_.node(n).leafset();
+  bool any_dead = false;
+  leafset.ForEachMember(
+      [&](const LeafsetEntry& e) { any_dead |= !ring_.alive(e.node); });
+  if (!any_dead) {
+    // Alive members only matter to suspicion, and checking them leaves
+    // membership alone, so the walk can stay in place.
+    if (!config_.suspect_alive) return;
+    leafset.ForEachMember(
+        [&](const LeafsetEntry& e) { CheckMember(n, e.node, now); });
+    return;
   }
+  // A snapshot: Ring::DetectFailure in CheckMember refills n's own leafset
+  // (and every other) while this loop is still walking it.
+  for (const LeafsetEntry& e : leafset.Members()) CheckMember(n, e.node, now);
+}
+
+void HeartbeatProtocol::CheckMember(NodeIndex n, NodeIndex m, sim::Time now) {
+  if (ring_.alive(m)) {
+    // Suspicion (suspect_alive mode): a member we *have* heard from
+    // before has gone silent past the timeout. Requiring one prior
+    // delivery avoids flagging everyone during start-up warm-up.
+    if (!config_.suspect_alive) return;
+    const sim::Time* heard = heard_.Find(n, m);
+    if (heard == nullptr) return;
+    if (now - *heard < config_.timeout_ms) return;
+    if (!SortedInsert(suspected_[n], m)) return;  // already suspected
+    ++suspicions_;
+    ++false_suspicions_;  // m is alive: by definition a false positive
+    m_suspicions_->Inc();
+    m_false_suspicions_->Inc();
+    for (const auto& obs : suspicion_observers_) obs(n, m, now, true);
+    return;
+  }
+  const sim::Time* found = heard_.Find(n, m);
+  const sim::Time heard = found == nullptr ? 0.0 : *found;
+  if (now - heard < config_.timeout_ms) return;
+  // Sensor mode (auto_repair off): every detector independently marks the
+  // silent member in its own suspect set — the dead node never beats
+  // again, so the suspicion persists and rides the in-band telemetry
+  // until an external reactor repairs membership.
+  if (!config_.auto_repair) SortedInsert(suspected_[n], m);
+  if (detected_[m]) return;
+  detected_[m] = 1;
+  ++failures_detected_;
+  m_failures_->Inc();
+  if (config_.suspect_alive) {
+    // The unified suspicion stream also sees true positives, so
+    // false_suspicions() / suspicions() is a meaningful FP rate.
+    ++suspicions_;
+    m_suspicions_->Inc();
+    for (const auto& obs : suspicion_observers_) obs(n, m, now, false);
+  }
+  if (config_.auto_repair) {
+    // Failure detection rewrites shared ring membership (DetectFailure
+    // below) and races lazily-sorted ring views; multi-shard runs keep
+    // membership frozen during windows, so a detection there is a bug.
+    P2P_CHECK_MSG(peers_.size() <= 1,
+                  "failure detection is unsupported in multi-shard runs");
+    // First detection triggers ring-wide cleanup, standing in for the
+    // rapid propagation of the death notice through leafset exchanges.
+    ring_.DetectFailure(m);
+  }
+  for (const auto& obs : failure_observers_) obs(n, m, now);
 }
 
 std::size_t HeartbeatProtocol::MemoryBytes() const {
   std::size_t bytes = sizeof(*this);
-  bytes += last_heard_.capacity() *
-           sizeof(std::vector<std::pair<NodeIndex, sim::Time>>);
-  for (const auto& row : last_heard_)
-    bytes += row.capacity() * sizeof(std::pair<NodeIndex, sim::Time>);
+  bytes += heard_.MemoryBytes();
   bytes += beat_order_.capacity() * sizeof(std::pair<sim::Time, NodeIndex>);
   bytes += detected_.capacity();
   bytes += suspected_.capacity() * sizeof(std::vector<NodeIndex>);

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "dht/liveness.h"
 #include "dht/ring.h"
 #include "sim/simulation.h"
 
@@ -94,7 +95,7 @@ class HeartbeatProtocol {
   // outliving the protocol) and where its peers live. After binding, Start
   // schedules beats only for owned nodes, and delivery closures
   // target the receiver's owning instance, so all mutable per-node state
-  // (last_heard_, suspected_) is touched exclusively by its owner's shard
+  // (heard_, suspected_) is touched exclusively by its owner's shard
   // thread. Serial runs never call this; an unbound instance owns every
   // node and delivers to itself — the exact seed code path.
   void BindShard(std::uint32_t shard,
@@ -131,8 +132,8 @@ class HeartbeatProtocol {
 
   const Config& config() const { return config_; }
 
-  // Resident bytes of the detector's per-node tables (the dense
-  // last-heard / suspicion rows) plus this object — feeds the
+  // Resident bytes of the detector's per-node tables (the last-heard
+  // blocks, the beat row, the suspicion rows) plus this object — feeds the
   // mem.bytes_per_host gauge.
   std::size_t MemoryBytes() const;
 
@@ -148,6 +149,8 @@ class HeartbeatProtocol {
   void Beat(NodeIndex n);
   void Deliver(NodeIndex from, NodeIndex to, sim::Time send_time);
   void CheckTimeouts(NodeIndex n);
+  // Node n's timeout check of one leafset member m.
+  void CheckMember(NodeIndex n, NodeIndex m, sim::Time now);
 
   // True when this instance schedules node n's beats and receives its
   // heartbeats (always true when unbound).
@@ -155,10 +158,11 @@ class HeartbeatProtocol {
     return shard_of_host_ == nullptr ||
            (*shard_of_host_)[ring_.node(n).host()] == shard_;
   }
-  // The instance owning node n (this, when unbound — the serial path).
-  HeartbeatProtocol* PeerForNode(NodeIndex n) {
+  // The instance owning the nodes on `host` (this, when unbound — the
+  // serial path).
+  HeartbeatProtocol* PeerForHost(net::HostIdx host) {
     if (shard_of_host_ == nullptr) return this;
-    return peers_[(*shard_of_host_)[ring_.node(n).host()]];
+    return peers_[(*shard_of_host_)[host]];
   }
 
   sim::Simulation& sim_;
@@ -171,11 +175,9 @@ class HeartbeatProtocol {
   const std::vector<std::uint32_t>* shard_of_host_ = nullptr;
   std::vector<HeartbeatProtocol*> peers_;
 
-  // last_heard_[n]: (member, last-heard sim time) sorted by member — a flat
-  // struct-of-arrays replacement for the old per-node hash map. Leafsets
-  // are small (2L entries), so binary search beats hashing, the rows pack
-  // cache-dense at 50k nodes, and iteration order is deterministic.
-  std::vector<std::vector<std::pair<NodeIndex, sim::Time>>> last_heard_;
+  // When each owned node last heard each sender: one flat block of 2r
+  // slots per owned node (dht/liveness.h), reserved at Start.
+  LivenessTable heard_;
   // The beat row, cyclically sorted by next deadline — [beat_cursor_, end)
   // then [0, beat_cursor_) is ascending. The sweep advances each fired
   // entry by one period in place, which preserves the ordering (x < y

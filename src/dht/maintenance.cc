@@ -1,5 +1,7 @@
 #include "dht/maintenance.h"
 
+#include <cstdint>
+
 #include "util/check.h"
 
 namespace p2p::dht {
@@ -68,10 +70,13 @@ void MaintenanceProtocol::RefreshRound(NodeIndex n) {
     msg.bytes = kLookupBytes;
     sim::SendOptions opts;
     opts.delay_override_ms = r.latency_ms;
-    const NodeIndex dest = r.destination;
+    // 32-bit captures keep the closure at 24 bytes, so its event is inline.
+    const auto node_index = static_cast<std::uint32_t>(n);
+    const auto slot = static_cast<std::uint32_t>(i);
+    const auto dest = static_cast<std::uint32_t>(r.destination);
     const bool admitted = sim_.transport().Send(
         msg,
-        [this, n, i, dest] {
+        [this, n = node_index, i = slot, dest] {
           if (!running_) return;
           if (!ring_.node(n).alive() || !ring_.node(dest).alive()) return;
           Node& node = ring_.node(n);

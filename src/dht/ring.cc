@@ -60,6 +60,7 @@ NodeIndex Ring::Join(net::HostIdx host, NodeId id) {
                 "duplicate node id " << id);
   const std::size_t pos = static_cast<std::size_t>(it - sorted_.begin());
   nodes_.emplace_back(id, host, per_side_);
+  alive_.push_back(1);
   const NodeIndex n = nodes_.size() - 1;
   ++alive_count_;
   // One ordered insertion keeps the cache valid, so a per-host bootstrap
@@ -123,10 +124,12 @@ NodeIndex Ring::JoinBatchHashed(net::HostIdx first_host, std::size_t count,
   }
   const NodeIndex first = nodes_.size();
   nodes_.reserve(nodes_.size() + count);
+  alive_.reserve(alive_.size() + count);
   for (std::size_t i = 0; i < count; ++i) {
     NodeId id = first_choice[i];
     while (!used.insert(id).second) id = util::Mix64(id);
     nodes_.emplace_back(id, first_host + i, per_side_);
+    alive_.push_back(1);
     ++alive_count_;
   }
   sorted_dirty_ = true;
@@ -138,6 +141,7 @@ void Ring::Leave(NodeIndex n) {
   Node& x = nodes_.at(n);
   P2P_CHECK_MSG(x.alive(), "node " << n << " is not alive");
   x.set_state(NodeState::kLeft);
+  alive_[n] = 0;
   --alive_count_;
   sorted_dirty_ = true;
   // Graceful: neighbours drop the node and refill immediately.
@@ -148,6 +152,7 @@ void Ring::Fail(NodeIndex n) {
   Node& x = nodes_.at(n);
   P2P_CHECK_MSG(x.alive(), "node " << n << " is not alive");
   x.set_state(NodeState::kFailed);
+  alive_[n] = 0;
   --alive_count_;
   sorted_dirty_ = true;
   // Stale entries remain in neighbours' tables until DetectFailure.
@@ -405,6 +410,7 @@ std::size_t Ring::MemoryBytes() const {
     total += x.fingers().HeapBytes();
     total += x.prefix().HeapBytes();
   }
+  total += alive_.capacity();
   total += sorted_.capacity() * sizeof(LeafsetEntry);
   return total;
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "net/latency_oracle.h"
 #include "obs/metrics.h"
 #include "sim/trace.h"
+#include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace p2p::dht {
@@ -120,6 +122,12 @@ class Ring {
 
   std::size_t size() const { return nodes_.size(); }
   std::size_t alive_count() const { return alive_count_; }
+  // node(n).alive(), read from one dense byte per node instead of the
+  // node's record — the heartbeat hot path asks it once per message end.
+  bool alive(NodeIndex n) const {
+    P2P_DCHECK(n < alive_.size());
+    return alive_[n] != 0;
+  }
 
   // Optional worker pool for the bulk paths (StabilizeAll, batch-join
   // hashing). Null (the default) keeps everything on the calling thread;
@@ -128,8 +136,8 @@ class Ring {
   util::ThreadPool* thread_pool() const { return pool_; }
 
   // Total heap + inline bytes of the ring's routing state: nodes (leafset,
-  // fingers, Pastry prefix tables) plus the sorted-membership cache. Feeds
-  // the mem.ring_bytes_per_host gauge.
+  // fingers, Pastry prefix tables), the alive bytes and the sorted-
+  // membership cache. Feeds the mem.ring_bytes_per_host gauge.
   std::size_t MemoryBytes() const;
   Node& node(NodeIndex n) { return nodes_.at(n); }
   const Node& node(NodeIndex n) const { return nodes_.at(n); }
@@ -175,6 +183,9 @@ class Ring {
   obs::Counter* leafset_repairs_ = nullptr;
   RoutingGeometry geometry_;
   std::vector<Node> nodes_;
+  // alive_[n] == nodes_[n].alive(); only the membership changes (Join,
+  // JoinBatchHashed, Fail, Leave) write it.
+  std::vector<std::uint8_t> alive_;
   std::size_t alive_count_ = 0;
   // Cache of alive (id, index) sorted by id. Join keeps it valid with an
   // ordered insertion; every other membership change invalidates it.

@@ -35,27 +35,6 @@ std::uint64_t ShardSeed(std::uint64_t seed, std::size_t shard,
   return util::SplitMix64(sm);
 }
 
-// Per-shard Transport hook: forwards remote sends into the owner's
-// mailboxes. Lives on the shard whose bus it is installed on; PostRemote
-// is called on that shard's thread only. The remote test itself runs
-// inside the bus against the immutable (post-SetHostShards) host map —
-// set_shard_router hands the map over so local sends on sharded runs pay
-// an array load, not a virtual call.
-class ShardedSimulation::Router : public ShardRouter {
- public:
-  Router(ShardedSimulation& owner, std::uint32_t shard)
-      : owner_(owner), shard_(shard) {}
-
-  void PostRemote(const Message& msg, Time deliver_time,
-                  util::InlineFn deliver) override {
-    owner_.PostRemoteMessage(shard_, msg, deliver_time, std::move(deliver));
-  }
-
- private:
-  ShardedSimulation& owner_;
-  std::uint32_t shard_;
-};
-
 ShardedSimulation::ShardedSimulation(const ShardedOptions& opts)
     : lookahead_ms_(opts.lookahead_ms),
       pair_lookahead_(opts.lookahead_matrix) {
@@ -107,12 +86,10 @@ ShardedSimulation::ShardedSimulation(const ShardedOptions& opts)
 }
 
 ShardedSimulation::~ShardedSimulation() {
-  // Routers point into this object; detach them from the transports before
-  // the shards (and their buses) go down, in case a bus outlives us via a
-  // caller-held reference during teardown.
-  for (auto& shard : shards_) {
-    if (shard->router) shard->sim->transport().set_shard_router(nullptr);
-  }
+  // The buses point back at this object; detach them before the shards go
+  // down, in case a bus outlives us via a caller-held reference during
+  // teardown.
+  for (auto& shard : shards_) shard->sim->transport().set_sharding(nullptr, 0);
 }
 
 void ShardedSimulation::SetHostShards(std::vector<std::uint32_t> shard_of_host) {
@@ -122,13 +99,11 @@ void ShardedSimulation::SetHostShards(std::vector<std::uint32_t> shard_of_host) 
   for (const std::uint32_t s : shard_of_host)
     P2P_CHECK_MSG(s < shards_.size(), "host mapped to unknown shard " << s);
   shard_of_host_ = std::move(shard_of_host);
-  if (shards_.size() == 1) return;  // serial path: no per-send router check
+  if (shards_.size() == 1) return;  // serial path: no per-send remote test
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->router =
-        std::make_unique<Router>(*this, static_cast<std::uint32_t>(s));
-    shards_[s]->sim->transport().set_shard_router(
-        shards_[s]->router.get(), shard_of_host_.data(), shard_of_host_.size(),
-        static_cast<std::uint32_t>(s));
+    shards_[s]->sim->transport().set_sharding(
+        this, static_cast<std::uint32_t>(s), shard_of_host_.data(),
+        shard_of_host_.size());
   }
 }
 
@@ -155,22 +130,6 @@ void ShardedSimulation::Post(std::size_t src, std::size_t dst,
   OutColumn& box = shards_[src]->outbox[dst];
   box.deliver.push_back(deliver_time);
   box.cb.push_back(std::move(cb));
-}
-
-void ShardedSimulation::PostRemoteMessage(std::uint32_t src_shard,
-                                          const Message& msg,
-                                          Time deliver_time,
-                                          EventQueue::Callback deliver) {
-  const std::uint32_t dst_shard = shard_of_host_[msg.dst_host];
-  Transport* bus = &shards_[dst_shard]->sim->transport();
-  // The destination bus accounts the delivery when the closure runs —
-  // mirroring FinishDelivery on a local scheduled send.
-  Post(src_shard, dst_shard, deliver_time,
-       [bus, protocol = msg.protocol, src = msg.src_host, bytes = msg.bytes,
-        cb = std::move(deliver)]() mutable {
-         bus->AccountRemoteDelivery(protocol, src, bytes);
-         if (cb) cb();
-       });
 }
 
 void ShardedSimulation::ExchangeMailboxes() {

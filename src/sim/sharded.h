@@ -35,18 +35,22 @@
 // Exchange barrier: cross-shard sends stage in flat SoA columns — one
 // (deliver[], cb[], order[]) column per (src, dst) pair. Each sending
 // shard sorts its own columns in parallel before the barrier (a stable
-// sort of the u32 `order` permutation on deliver time; the 64-byte
+// sort of the u32 `order` permutation on deliver time; the 56-byte
 // callbacks never move), the barrier itself claims columns with O(1)
 // vector swaps, and DrainInbox k-way merges the pre-sorted runs straight
 // into the destination queue — no comparison sort over the concatenation.
 //
-// Cross-shard sends route through Transport::ShardRouter: the sending
-// shard resolves faults/delay/trace and counts sent/bytes, the receiving
-// shard counts the delivery at drain time. Because the simulation shares
-// one address space, the closure itself crosses shards; the barrier
-// provides the happens-before edge, and protocol closures must only touch
-// destination-shard-owned state (HeartbeatProtocol::BindShard and
-// SomoProtocol::BindShard construct exactly such closures).
+// Cross-shard sends: SetHostShards hands every shard's Transport this
+// kernel and the host -> shard map. The sending bus resolves faults, delay
+// and trace and counts sent/bytes; its event (a Transport::Delivery whose
+// bus pointer names the destination bus, which counts the delivery when
+// the event runs) goes into the mailbox through Post as it is — no wrapper
+// closure, so an event that fits InlineFn's buffer crosses without an
+// allocation. Because the simulation shares one address space, the closure
+// itself crosses shards; the barrier provides the happens-before edge, and
+// protocol closures must only touch destination-shard-owned state
+// (HeartbeatProtocol::BindShard and SomoProtocol::BindShard construct
+// exactly such closures).
 #pragma once
 
 #include <cstdint>
@@ -107,9 +111,9 @@ class ShardedSimulation {
   Simulation& shard(std::size_t s) { return *shards_[s]->sim; }
   const Simulation& shard(std::size_t s) const { return *shards_[s]->sim; }
 
-  // Install the host -> shard map and wire a ShardRouter into every
+  // Install the host -> shard map and hand it, with this kernel, to every
   // shard's transport (skipped at 1 shard: every host is local and the
-  // serial fast path must not pay a per-send virtual call). Call once,
+  // serial fast path must not pay a per-send remote test). Call once,
   // before RunUntil.
   void SetHostShards(std::vector<std::uint32_t> shard_of_host);
   std::uint32_t ShardOfHost(std::size_t host) const {
@@ -181,10 +185,8 @@ class ShardedSimulation {
       order.clear();
     }
   };
-  class Router;
   struct Shard {
     std::unique_ptr<Simulation> sim;
-    std::unique_ptr<Router> router;
     // outbox[dst]: sends posted by this shard during the current window,
     // in send order (the canonical seq component). Touched only by this
     // shard's thread inside a window and by the barrier thread outside —
@@ -204,8 +206,6 @@ class ShardedSimulation {
     double sort_ns = 0.0;   // outbox pre-sort portion of busy_ns
   };
 
-  void PostRemoteMessage(std::uint32_t src_shard, const Message& msg,
-                         Time deliver_time, EventQueue::Callback deliver);
   void ExchangeMailboxes();
   void DrainInbox(Shard& shard) const;
   void SortOutboxes(Shard& shard) const;

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "sim/sharded.h"
 #include "sim/simulation.h"
 #include "util/check.h"
 
@@ -76,11 +77,11 @@ void Transport::EnablePerHostStats(std::size_t host_count) {
 }
 
 void Transport::FinishDelivery(Protocol protocol, std::size_t src,
-                               std::size_t bytes, bool was_scheduled) {
+                               std::size_t bytes, bool scheduled) {
   const auto pi = static_cast<std::size_t>(protocol);
   ++stats_.by_protocol[pi].delivered;
   if (src < host_stats_.size()) ++host_stats_[src].delivered;
-  if (was_scheduled) {
+  if (scheduled) {
     --inflight_msgs_;
     inflight_bytes_ -= bytes;
   }
@@ -91,8 +92,11 @@ void Transport::FinishDelivery(Protocol protocol, std::size_t src,
   }
 }
 
-bool Transport::Send(const Message& msg, DeliverFn deliver,
-                     SendOptions opts) {
+Transport::Admission Transport::Admit(const Message& msg,
+                                     const SendOptions& opts) {
+  // The event carries the source host and the byte count in 32 bits each.
+  P2P_CHECK_MSG(msg.src_host <= 0xffffffffu && msg.bytes <= 0xffffffffu,
+                "host index or message size past 32 bits");
   const auto pi = static_cast<std::size_t>(msg.protocol);
   auto& ps = stats_.by_protocol[pi];
   ++ps.sent;
@@ -149,67 +153,42 @@ bool Transport::Send(const Message& msg, DeliverFn deliver,
                                  : handles_[pi].dropped_partition)
           ->Inc();
     }
-    return false;
+    return {nullptr, 0.0};
   }
-  if (router_ != nullptr && msg.dst_host < shard_host_count_ &&
+  if (sharded_ != nullptr && msg.dst_host < shard_host_count_ &&
       shard_of_host_map_[msg.dst_host] != own_shard_) {
-    // Cross-shard: the closure is delivered by the destination shard after
-    // the next lookahead barrier. It never enters this shard's queue, so
-    // the in-flight gauges (a per-shard queue-depth signal) skip it; the
-    // destination bus counts the delivery via AccountRemoteDelivery.
+    // Cross-shard: the destination shard runs the event after the next
+    // lookahead barrier, and its bus counts the delivery. The event never
+    // enters this shard's queue, so the in-flight gauges (a per-shard
+    // queue-depth signal) skip it.
     P2P_CHECK_MSG(!opts.inline_delivery,
                   "inline delivery cannot cross shards");
-    router_->PostRemote(msg, sim_.now() + delay, std::move(deliver));
-    return true;
+    return {&sharded_->shard(shard_of_host_map_[msg.dst_host]).transport(),
+            delay};
   }
-  if (opts.inline_delivery) {
-    FinishDelivery(msg.protocol, msg.src_host, msg.bytes,
-                   /*was_scheduled=*/false);
-    if (deliver) deliver();
-    return true;
+  if (!opts.inline_delivery) {
+    ++inflight_msgs_;
+    inflight_bytes_ += msg.bytes;
+    if (metrics_ != nullptr) {
+      inflight_msgs_gauge_->Set(static_cast<double>(inflight_msgs_));
+      inflight_bytes_gauge_->Set(static_cast<double>(inflight_bytes_));
+    }
   }
-  ++inflight_msgs_;
-  inflight_bytes_ += msg.bytes;
-  if (metrics_ != nullptr) {
-    inflight_msgs_gauge_->Set(static_cast<double>(inflight_msgs_));
-    inflight_bytes_gauge_->Set(static_cast<double>(inflight_bytes_));
-  }
-  std::uint32_t idx;
-  if (inflight_free_ != kNoInflight) {
-    idx = inflight_free_;
-    inflight_free_ = inflight_slab_[idx].next_free;
-  } else {
-    idx = static_cast<std::uint32_t>(inflight_slab_.size());
-    inflight_slab_.emplace_back();
-  }
-  Inflight& rec = inflight_slab_[idx];
-  rec.cb = std::move(deliver);
-  rec.protocol = msg.protocol;
-  rec.src = msg.src_host;
-  rec.bytes = msg.bytes;
-  sim_.After(delay, [this, idx] { DeliverScheduled(idx); });
-  return true;
+  return {this, delay};
 }
 
-void Transport::DeliverScheduled(std::uint32_t idx) {
-  Inflight& rec = inflight_slab_[idx];
-  const Protocol protocol = rec.protocol;
-  const std::size_t src = rec.src;
-  const std::size_t bytes = rec.bytes;
-  // Free the record before running the callback: deliveries routinely send
-  // follow-up messages, which reuse the slot without growing the slab.
-  DeliverFn cb = std::move(rec.cb);
-  rec.cb = nullptr;
-  rec.next_free = inflight_free_;
-  inflight_free_ = idx;
-  FinishDelivery(protocol, src, bytes, /*was_scheduled=*/true);
-  if (cb) cb();
+void Transport::Dispatch(Transport& bus, double delay, util::InlineFn event) {
+  if (&bus == this) {
+    sim_.After(delay, std::move(event));
+  } else {
+    sharded_->Post(own_shard_, bus.own_shard_, sim_.now() + delay,
+                   std::move(event));
+  }
 }
 
 std::size_t Transport::MemoryBytes() const {
   std::size_t bytes = sizeof(*this);
   bytes += host_stats_.capacity() * sizeof(HostStats);
-  bytes += inflight_slab_.size() * sizeof(Inflight);
   bytes += link_loss_.bucket_count() * sizeof(void*) +
            link_loss_.size() *
                (sizeof(std::pair<const std::uint64_t, double>) +

@@ -16,11 +16,17 @@
 //     TransportStats snapshot;
 //   * an optional bounded TraceSink recording every send for post-hoc
 //     analysis (tools/trace_to_csv).
+//
+// Each message is one event: Send builds a Transport::Delivery closure (the
+// accounting fields, then the protocol's closure) and schedules it, or hands
+// it unchanged to the destination shard's mailbox on a sharded run. Protocol
+// closures of up to 24 bytes keep that event inline, so a heartbeat costs
+// no allocation on either path.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -33,6 +39,7 @@
 
 namespace p2p::sim {
 
+class ShardedSimulation;
 class Simulation;
 
 // A typed inter-host message. Protocols address by host (the transport
@@ -115,32 +122,30 @@ struct SendOptions {
   bool inline_delivery = false;
 };
 
-// Cross-shard routing hook for sharded runs (sim/sharded.h installs one
-// per shard). When a send's destination host lives on another shard, the
-// delivery closure cannot be scheduled on the local event queue — it must
-// travel through the owning ShardedSimulation's mailboxes and land on the
-// destination shard at the next lookahead barrier. The transport computes
-// faults, delay and tracing exactly as for a local send, then hands the
-// resolved (message, absolute delivery time, closure) to the router.
-class ShardRouter {
- public:
-  virtual ~ShardRouter() = default;
-  // Enqueue `deliver` for the destination shard at absolute `deliver_time`
-  // (>= the end of the current lockstep window — checked by the kernel).
-  // The remote test itself is NOT virtual: the bus reads the owner's
-  // immutable host->shard map directly (set_shard_router hands it over),
-  // so every local send on a sharded run pays one array load instead of a
-  // virtual IsRemote call — only genuinely remote sends reach this hook.
-  virtual void PostRemote(const Message& msg, Time deliver_time,
-                          util::InlineFn deliver) = 0;
-};
-
 class Transport {
  public:
-  // Move-only small-buffer callable: protocol delivery closures up to 48
-  // bytes of captures schedule with zero allocation (see util/inline_fn.h).
-  using DeliverFn = util::InlineFn;
   using SendOptions = sim::SendOptions;
+
+  // The event one send schedules: the delivery's accounting fields, then
+  // the protocol's closure `fn`. The fields take 24 bytes, so a closure of
+  // up to 24 bytes keeps the event inside util::InlineFn's 48-byte buffer
+  // (a heartbeat's [peer, from, to, send_time] is exactly that). `bus` is
+  // the bus that counts the delivery: this one, or on a cross-shard send
+  // the destination shard's.
+  template <typename F>
+  struct Delivery {
+    Transport* bus;
+    std::uint32_t src;
+    std::uint32_t bytes;
+    Protocol protocol;
+    bool scheduled;  // on this bus's queue, so in its in-flight gauges
+    F fn;
+
+    void operator()() {
+      bus->FinishDelivery(protocol, src, bytes, scheduled);
+      fn();
+    }
+  };
 
   explicit Transport(Simulation& sim) : sim_(sim) {}
 
@@ -211,47 +216,58 @@ class Transport {
 
   // --- sharding -----------------------------------------------------------
 
-  // Route sends to remote hosts through `router` instead of the local
-  // event queue. `shard_of_host` (host -> owning shard, immutable while
-  // installed) and `own_shard` devirtualize the per-send remote test; a
-  // host index at or past `host_count` is treated as local. Null router
+  // Route sends to hosts of other shards into `owner`'s mailboxes
+  // (ShardedSimulation::SetHostShards installs this on every shard's bus).
+  // `shard_of_host` (host -> owning shard, immutable while installed,
+  // `host_count` entries) makes the remote test one array load per send; a
+  // host index at or past `host_count` is treated as local. A null owner
   // (the default) keeps every delivery local.
-  void set_shard_router(ShardRouter* router,
-                        const std::uint32_t* shard_of_host = nullptr,
-                        std::size_t host_count = 0,
-                        std::uint32_t own_shard = 0) {
-    router_ = router;
-    shard_of_host_map_ = router == nullptr ? nullptr : shard_of_host;
-    shard_host_count_ = router == nullptr ? 0 : host_count;
+  void set_sharding(ShardedSimulation* owner, std::uint32_t own_shard,
+                    const std::uint32_t* shard_of_host = nullptr,
+                    std::size_t host_count = 0) {
+    sharded_ = owner;
     own_shard_ = own_shard;
-    P2P_CHECK_MSG(router_ == nullptr || shard_of_host_map_ != nullptr,
-                  "a shard router needs the host -> shard map");
-  }
-  ShardRouter* shard_router() const { return router_; }
-
-  // Account a cross-shard message's arrival on this (destination) shard's
-  // bus: the sending shard counted sent/bytes/drops, the receiving shard
-  // counts the delivery. Called by the sharded kernel's mailbox drain.
-  void AccountRemoteDelivery(Protocol protocol, std::size_t src,
-                             std::size_t bytes) {
-    FinishDelivery(protocol, src, bytes, /*was_scheduled=*/false);
+    shard_of_host_map_ = owner == nullptr ? nullptr : shard_of_host;
+    shard_host_count_ = owner == nullptr ? 0 : host_count;
+    P2P_CHECK_MSG(owner == nullptr || shard_of_host_map_ != nullptr,
+                  "sharding needs the host -> shard map");
   }
 
   // --- sending ------------------------------------------------------------
 
   // Admit `msg` to the bus. Returns false when fault injection dropped it
-  // (the delivery callback will never run); otherwise schedules `deliver`
-  // at now + base delay + jitter (or runs it inline, see SendOptions). A
-  // send whose destination a shard router marks remote is handed to the
-  // router with the same accounting/trace treatment.
-  bool Send(const Message& msg, DeliverFn deliver, SendOptions opts = {});
+  // (`deliver` will never run); otherwise schedules one event at now + base
+  // delay + jitter that counts the delivery and runs `deliver` (or runs
+  // both inline, see SendOptions). A send to a host of another shard gets
+  // the same accounting and trace treatment, and its event goes to that
+  // shard's mailbox as it is.
+  template <typename F>
+  bool Send(const Message& msg, F&& deliver, SendOptions opts = {}) {
+    const Admission a = Admit(msg, opts);
+    if (a.bus == nullptr) return false;
+    if (opts.inline_delivery) {
+      FinishDelivery(msg.protocol, msg.src_host, msg.bytes,
+                     /*scheduled=*/false);
+      deliver();
+      return true;
+    }
+    Delivery<std::decay_t<F>> event{a.bus,
+                                    static_cast<std::uint32_t>(msg.src_host),
+                                    static_cast<std::uint32_t>(msg.bytes),
+                                    msg.protocol,
+                                    /*scheduled=*/a.bus == this,
+                                    std::forward<F>(deliver)};
+    Dispatch(*a.bus, a.delay, std::move(event));
+    return true;
+  }
 
   TransportStats stats() const { return stats_; }
   void ResetStats() { stats_ = TransportStats{}; }
 
   // Resident bytes of the bus's tables: per-host stats (zero until
-  // EnablePerHostStats), the in-flight slab, link-loss overrides and
-  // partition sets, plus this object. Feeds the mem.bytes_per_host gauge.
+  // EnablePerHostStats), link-loss overrides and partition sets, plus this
+  // object; messages in flight live in their events, not here. Feeds the
+  // mem.bytes_per_host gauge.
   std::size_t MemoryBytes() const;
 
  private:
@@ -260,23 +276,21 @@ class Transport {
            static_cast<std::uint64_t>(dst);
   }
   double LossFor(std::size_t src, std::size_t dst) const;
-  void FinishDelivery(Protocol protocol, std::size_t src, std::size_t bytes,
-                      bool was_scheduled);
-  void DeliverScheduled(std::uint32_t idx);
 
-  // Scheduled deliveries park their callback + accounting fields in this
-  // freelist-recycled slab so the event closure is just [this, idx] — 16
-  // bytes, always inline in the event record, even when the protocol's own
-  // delivery closure needs the heap. std::deque: records must not move
-  // while a delivery callback sends more messages.
-  struct Inflight {
-    DeliverFn cb;
-    Protocol protocol = Protocol::kOther;
-    std::size_t src = 0;
-    std::size_t bytes = 0;
-    std::uint32_t next_free = kNoInflight;
+  // Everything of a send but its event: the sent/bytes accounting, the
+  // fault decisions and their RNG draws, the delay, the trace record and,
+  // for a send scheduled on this bus, the in-flight gauges. `bus` is the
+  // bus that will count the delivery, null when the message was dropped.
+  struct Admission {
+    Transport* bus;
+    double delay;
   };
-  static constexpr std::uint32_t kNoInflight = 0xffffffffu;
+  Admission Admit(const Message& msg, const SendOptions& opts);
+  // Schedule `event` `delay` ms from now: on this bus's queue when `bus` is
+  // this bus, else in the mailbox to `bus`'s shard.
+  void Dispatch(Transport& bus, double delay, util::InlineFn event);
+  void FinishDelivery(Protocol protocol, std::size_t src, std::size_t bytes,
+                      bool scheduled);
 
   // Registry handles cached at set_metrics time, one set per protocol.
   struct ProtoMetricHandles {
@@ -288,8 +302,8 @@ class Transport {
   };
 
   Simulation& sim_;
-  ShardRouter* router_ = nullptr;
-  // Devirtualized remote test (see set_shard_router).
+  // Sharding (see set_sharding): null/empty on a serial run.
+  ShardedSimulation* sharded_ = nullptr;
   const std::uint32_t* shard_of_host_map_ = nullptr;
   std::size_t shard_host_count_ = 0;
   std::uint32_t own_shard_ = 0;
@@ -302,8 +316,6 @@ class Transport {
   TraceSink* trace_ = nullptr;
   TransportStats stats_;
   std::vector<HostStats> host_stats_;  // empty until EnablePerHostStats
-  std::deque<Inflight> inflight_slab_;
-  std::uint32_t inflight_free_ = kNoInflight;
   std::size_t inflight_msgs_ = 0;
   std::size_t inflight_bytes_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;

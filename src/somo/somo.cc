@@ -31,9 +31,10 @@ SomoProtocol::SomoProtocol(sim::Simulation& sim, dht::Ring& ring,
   m_report_age_ = &reg.histogram("somo.report.age_ms");
 }
 
-bool SomoProtocol::SendBetween(dht::NodeIndex from, dht::NodeIndex to,
-                               SomoMessageKind kind, std::size_t bytes,
-                               sim::Transport::DeliverFn deliver) {
+sim::Message SomoProtocol::CountedMessage(dht::NodeIndex from,
+                                          dht::NodeIndex to,
+                                          SomoMessageKind kind,
+                                          std::size_t bytes) {
   ++messages_;
   bytes_ += bytes;
   m_messages_->Inc();
@@ -44,7 +45,7 @@ bool SomoProtocol::SendBetween(dht::NodeIndex from, dht::NodeIndex to,
   msg.protocol = sim::Protocol::kSomo;
   msg.kind = kind;
   msg.bytes = bytes;
-  return sim_.transport().Send(msg, std::move(deliver));
+  return msg;
 }
 
 const LogicalTree& SomoProtocol::tree() const {

@@ -198,10 +198,18 @@ class SomoProtocol {
   // (unsync gather only — sync keeps no per-level caches). For sync rounds
   // `round` keys the start time so somo.gather.latency_ms can be measured.
   void RecordRootMetrics(std::uint64_t round);
-  // Inter-host send between two logical-node owners over the bus.
+  // Inter-host send between two logical-node owners over the bus. A
+  // template, so a closure of up to 24 bytes reaches Transport::Send as it
+  // is and its event stays inline.
+  template <typename F>
   bool SendBetween(dht::NodeIndex from, dht::NodeIndex to,
-                   SomoMessageKind kind, std::size_t bytes,
-                   sim::Transport::DeliverFn deliver);
+                   SomoMessageKind kind, std::size_t bytes, F&& deliver) {
+    return sim_.transport().Send(CountedMessage(from, to, kind, bytes),
+                                 std::forward<F>(deliver));
+  }
+  // Counts one SOMO message and addresses it from `from`'s host to `to`'s.
+  sim::Message CountedMessage(dht::NodeIndex from, dht::NodeIndex to,
+                              SomoMessageKind kind, std::size_t bytes);
 
   // The instance owning logical node l (this, when unbound).
   SomoProtocol* PeerForLogical(LogicalIndex l) {

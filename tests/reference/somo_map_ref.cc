@@ -184,7 +184,7 @@ SomoProtocol::SomoProtocol(sim::Simulation& sim, dht::Ring& ring,
 
 bool SomoProtocol::SendBetween(dht::NodeIndex from, dht::NodeIndex to,
                                SomoMessageKind kind, std::size_t bytes,
-                               sim::Transport::DeliverFn deliver) {
+                               util::InlineFn deliver) {
   ++messages_;
   bytes_ += bytes;
   m_messages_->Inc();

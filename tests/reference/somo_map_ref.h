@@ -109,7 +109,7 @@ class SomoProtocol {
   void RecordRootMetrics(std::uint64_t round);
   bool SendBetween(dht::NodeIndex from, dht::NodeIndex to,
                    SomoMessageKind kind, std::size_t bytes,
-                   sim::Transport::DeliverFn deliver);
+                   util::InlineFn deliver);
 
   sim::Simulation& sim_;
   dht::Ring& ring_;

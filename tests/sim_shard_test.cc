@@ -15,14 +15,20 @@
 //  * per-pair lookahead matrices: byte-identity against the fixed-window
 //    baseline with fewer barriers, per-message rejection of unsound
 //    entries, and ExtractLookahead's exactness/soundness against the
-//    brute-force oracle minimum on randomized multihomed topologies.
+//    brute-force oracle minimum on randomized multihomed topologies,
+//  * the allocation guard: warm heartbeat windows on one and two shards
+//    make fewer than one heap allocation per 1000 delivered heartbeats
+//    (this binary counts every global operator new).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <memory>
+#include <new>
 #include <set>
 #include <string>
 #include <utility>
@@ -42,6 +48,44 @@
 #include "test_support.h"
 #include "util/check.h"
 #include "util/rng.h"
+
+// Every heap allocation through the global operator new, on any thread.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+// GCC inlines these deletes into `new T` sites and flags the malloc/free
+// pairing it then sees, which is exactly what the replacement intends.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t bytes) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t bytes) { return ::operator new(bytes); }
+// The nothrow forms too (std::stable_sort's buffer uses one): a sanitizer
+// runtime would otherwise serve them and see our deletes free its memory.
+void* operator new(std::size_t bytes, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(bytes == 0 ? 1 : bytes);
+}
+void* operator new[](std::size_t bytes, const std::nothrow_t& tag) noexcept {
+  return ::operator new(bytes, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace p2p::sim {
 namespace {
@@ -736,6 +780,73 @@ TEST(ShardLookaheadExtraction, SoundForRandomizedMultihomedPresets) {
       // And it never loosens the structural bound.
       EXPECT_GE(plan.extracted_lookahead_ms, plan.lookahead_ms);
     }
+  }
+}
+
+// ------------------------------------------------------- ShardAllocation --
+
+// Heap allocations per 1000 delivered heartbeats over two warm seconds of
+// a heartbeat-only run: 1024 hosts split h % shards, leafsets of 16, a beat
+// every 20 ms, so ~820k deliveries a second. Heartbeats take the 50 ms
+// oracle-less delay and the lookahead is as long. What still allocates is
+// per window or per wheel bucket, not per message — the thread pool's
+// tasks, a wheel bucket or mailbox column growing past its largest load so
+// far — and stays well under the bound (~0.1 on one shard, ~0.5 on two),
+// which one allocation per beat (a leafset copy, ~60) or per cross-shard
+// message (a wrapper closure past the inline buffer, ~500) breaks.
+double AllocationsPerThousandHeartbeats(std::size_t shards) {
+  constexpr std::size_t kHosts = 1024;
+  ShardedOptions opts;
+  opts.shards = shards;
+  opts.lookahead_ms = 50.0;
+  opts.seed = 17;
+  opts.threads = shards;
+  ShardedSimulation ssim(opts);
+  std::vector<std::uint32_t> shard_of_host(kHosts);
+  for (std::size_t h = 0; h < kHosts; ++h)
+    shard_of_host[h] = static_cast<std::uint32_t>(h % shards);
+  ssim.SetHostShards(std::move(shard_of_host));
+
+  dht::Ring ring(16);
+  ring.JoinBatchHashed(0, kHosts);
+  dht::HeartbeatConfig cfg;
+  cfg.period_ms = 20.0;
+  cfg.timeout_ms = 70.0;
+  std::vector<std::unique_ptr<dht::HeartbeatProtocol>> hbs;
+  std::vector<dht::HeartbeatProtocol*> peers;
+  for (std::size_t s = 0; s < shards; ++s) {
+    hbs.push_back(
+        std::make_unique<dht::HeartbeatProtocol>(ssim.shard(s), ring, cfg));
+    peers.push_back(hbs.back().get());
+  }
+  for (std::size_t s = 0; s < shards; ++s)
+    hbs[s]->BindShard(static_cast<std::uint32_t>(s), &ssim.host_shards(),
+                      peers);
+  for (auto& hb : hbs) hb->Start();
+
+  const auto delivered = [&hbs] {
+    std::size_t total = 0;
+    for (const auto& hb : hbs) total += hb->heartbeats_delivered();
+    return total;
+  };
+  ssim.RunUntil(1000.0);  // warm: slabs, wheel buckets, mailboxes, blocks
+  const std::size_t delivered_before = delivered();
+  const std::size_t allocations_before = g_allocations.load();
+  ssim.RunUntil(3000.0);
+  const std::size_t allocations = g_allocations.load() - allocations_before;
+  const std::size_t heartbeats = delivered() - delivered_before;
+  EXPECT_GT(heartbeats, 1000000u);
+  if (shards > 1) {
+    EXPECT_GT(ssim.cross_shard_messages(), 0u);
+  }
+  return 1000.0 * static_cast<double>(allocations) /
+         static_cast<double>(heartbeats);
+}
+
+TEST(ShardAllocation, WarmHeartbeatsAllocateUnderOncePerThousandDeliveries) {
+  for (const std::size_t shards : {1, 2}) {
+    EXPECT_LT(AllocationsPerThousandHeartbeats(shards), 1.0)
+        << shards << " shard(s)";
   }
 }
 

@@ -17,8 +17,10 @@
 #                                           # emitted p2preport/v1 JSON
 #                                           # (and gate the 2-shard
 #                                           # fullstack's bytes per host at
-#                                           # 1.1x the 1-shard run's, and
-#                                           # the 1-shard run's at 6,000 B)
+#                                           # 1.1x the 1-shard run's, the
+#                                           # 1-shard run's at 6,000 B, and
+#                                           # both runs' transport at 16 B
+#                                           # and heartbeat at 520 B a host)
 #   tools/run_tests.sh --big default        # opt-in 100k-preset fullstack
 #                                           # smoke (minutes of wall time;
 #                                           # skipped by default). With
@@ -130,15 +132,25 @@ if [ "$report_mode" = 1 ]; then
   # cost at most 1.1x the 1-shard run's protocol bytes per host. And the
   # 1-shard run's state stays sized by what it holds: at most 6,000 B a
   # host (no prefix tables on the Chord ring, leafset sides of r slots,
-  # no column blocks in empty SOMO aggregates).
+  # no column blocks in empty SOMO aggregates). On both runs a message in
+  # flight lives in its event, so the buses hold at most 16 B a host, and
+  # the detector's flat last-heard blocks at most 520 B a host.
   python3 - "$report_dir/a/fullstack.json" \
     "$report_dir/a/fullstack-sharded.json" <<'EOF'
 import json, sys
-one, two = (json.load(open(p))["results"]["mem_bytes_per_host"]
-            for p in sys.argv[1:3])
+reports = [json.load(open(p)) for p in sys.argv[1:3]]
+one, two = (r["results"]["mem_bytes_per_host"] for r in reports)
 print(f"mem_bytes_per_host: 1 shard {one:.1f} (ceiling 6000), "
       f"2 shards {two:.1f} ({two / one:.3f}x, limit 1.1x)")
-sys.exit(0 if two <= 1.1 * one and one <= 6000.0 else 1)
+ok = two <= 1.1 * one and one <= 6000.0
+for shards, r in zip((1, 2), reports):
+    gauges = r["metrics"]["gauges"]
+    transport = gauges["mem.transport_bytes_per_host"]
+    heartbeat = gauges["mem.heartbeat_bytes_per_host"]
+    print(f"{shards} shard(s): transport {transport:.1f} B/host (ceiling "
+          f"16), heartbeat {heartbeat:.1f} B/host (ceiling 520)")
+    ok = ok and transport <= 16.0 and heartbeat <= 520.0
+sys.exit(0 if ok else 1)
 EOF
   # Thread-count determinism: multi's --jobs workers also build its
   # ResourcePool (topology wiring, ring stabilisation, coordinate fits),
