@@ -1,5 +1,6 @@
-// Churn driver: Poisson join and failure processes over a Ring, used by the
-// robustness tests and the SOMO self-healing experiment (E8).
+// Churn driver: Poisson join and failure processes over a Ring. Only the
+// stress and heartbeat tests drive it; the SOMO self-healing experiment
+// (E8, `p2ppool_cli somo-repair`) crashes one burst of nodes at once.
 #pragma once
 
 #include <cstdint>

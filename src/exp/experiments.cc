@@ -6,13 +6,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <memory>
 
 #include <sys/resource.h>
 
 #include "alm/bounds.h"
 #include "alm/planner.h"
+#include "exp/common.h"
 #include "obs/alert.h"
 #include "obs/timeseries.h"
 #include "pool/multi_session_sim.h"
@@ -25,67 +25,13 @@
 namespace p2p::exp {
 namespace {
 
-// printf to `out`, unless it is null.
-__attribute__((format(printf, 2, 3)))
-void Progress(std::FILE* out, const char* fmt, ...) {
-  if (out == nullptr) return;
-  va_list args;
-  va_start(args, fmt);
-  std::vfprintf(out, fmt, args);
-  va_end(args);
-}
-
-// printf into a string (the note lines under an experiment's table).
-__attribute__((format(printf, 1, 2)))
-std::string StrFormat(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  char buf[512];
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  return buf;
-}
-
 double FiniteOr(double v, double fallback) {
   return std::isfinite(v) ? v : fallback;
 }
 
-// A metric/value table whose numeric rows double as report results, so an
-// experiment names each headline number once.
-class Headlines {
- public:
-  explicit Headlines(obs::RunReport& report) : report_(report) {}
-  // A table row that is no result.
-  void Text(const std::string& label, util::Table::Cell value) {
-    table_.AddRow({label, std::move(value)});
-  }
-  // The result `key`, also a table row unless `show` is false.
-  void Add(const std::string& label, const std::string& key, double value,
-           bool show = true) {
-    if (show) Text(label, value);
-    report_.AddResult(key, value);
-  }
-  void Count(const std::string& label, const std::string& key,
-             std::size_t n, bool show = true) {
-    if (show) Text(label, static_cast<long long>(n));
-    report_.AddResult(key, static_cast<double>(n));
-  }
-  std::string ToText(int precision) const { return table_.ToText(precision); }
-
- private:
-  obs::RunReport& report_;
-  util::Table table_{{"metric", "value"}};
-};
-
 void CheckGroup(std::size_t group) {
   if (group < 2)
     throw util::UsageError("--group must be at least 2 (a root and a member)");
-}
-
-double AmcastBaseline(const alm::PlanInput& in) {
-  return alm::TreePlanner(alm::OptionsForStrategy(alm::Strategy::kAmcast))
-      .Plan(in)
-      .height_true;
 }
 
 // The fullstack and compare session over an oracle: paper degree bounds
@@ -210,27 +156,7 @@ Outcome RunPlan(const PlanConfig& c, std::FILE* progress) {
   pool::ResourcePool rp(cfg);
 
   util::Rng rng(c.seed ^ 0xfeed);
-  const auto idx = rng.SampleIndices(rp.size(), c.group);
-  alm::PlanInput in;
-  in.degree_bounds = rp.degree_bounds();
-  if (c.stream_kbps > 0.0) {
-    for (std::size_t v = 0; v < rp.size(); ++v) {
-      const double up = rp.bandwidths().host(v).up_kbps;
-      const int cap =
-          static_cast<int>(up / c.stream_kbps) + (v == idx[0] ? 0 : 1);
-      in.degree_bounds[v] = std::min(in.degree_bounds[v], cap);
-    }
-  }
-  in.root = idx[0];
-  in.members.assign(idx.begin() + 1, idx.end());
-  std::vector<char> is_member(rp.size(), 0);
-  for (const auto v : idx) is_member[v] = 1;
-  for (std::size_t v = 0; v < rp.size(); ++v) {
-    if (!is_member[v] && in.degree_bounds[v] >= 4)
-      in.helper_candidates.push_back(v);
-  }
-  in.true_latency = rp.TrueLatencyFn();
-  in.estimated_latency = rp.EstimatedLatencyFn();
+  alm::PlanInput in = SamplePoolSession(rp, rng, c.group, c.stream_kbps);
   in.amcast.helper_radius = c.radius_ms;
   obs::MetricsRegistry registry;
   in.metrics = &registry;

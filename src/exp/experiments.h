@@ -1,4 +1,5 @@
-// The CLI's ten experiments as library calls. A config holds what its
+// The CLI's experiments as library calls: ten configurable ones and, in
+// figures.cc, the paper's figures and ablations. A config holds what its
 // subcommand's flags set, with the same defaults; `stack` describes the
 // stack the experiment runs on (exp/stack.h). A run checks its whole
 // config before any work (util::UsageError names the bad value) and
@@ -153,5 +154,22 @@ struct AlertConfig {
   std::string timeseries_dir;  // alert_<scenario>_<arm>.csv event logs
 };
 Outcome RunAlert(const AlertConfig& c, std::FILE* progress = nullptr);
+
+// The paper's figures and §3.2 claims (DESIGN.md §2) and the ablations
+// built from its machinery (DESIGN.md §7), at the sizes and seeds their
+// reports' config records; no value of either is settable. The text is
+// the figure's title block, tables and notes; the report holds each tabled
+// number as the result `<table>.<row>.<column>` (exp/common.h).
+Outcome RunFig4(std::FILE* progress = nullptr);   // E1 coordinate CDFs
+Outcome RunFig5(std::FILE* progress = nullptr);   // E2 bandwidth error
+Outcome RunFig8(std::FILE* progress = nullptr);   // E3 single session
+Outcome RunFig10(std::FILE* progress = nullptr);  // E4/E5 the market
+Outcome RunSomoLatency(std::FILE* progress = nullptr);  // E6 gather bounds
+Outcome RunSomoRepair(std::FILE* progress = nullptr);   // E8 self-healing
+Outcome RunAblationHelper(std::FILE* progress = nullptr);
+Outcome RunAblationAdjust(std::FILE* progress = nullptr);
+Outcome RunAblationStaleness(std::FILE* progress = nullptr);
+Outcome RunAblationBandwidth(std::FILE* progress = nullptr);
+Outcome RunQosMetrics(std::FILE* progress = nullptr);
 
 }  // namespace p2p::exp

@@ -233,7 +233,20 @@ std::size_t ShardedSimulation::RunUntil(Time t_end) {
 
   const std::size_t n = shards_.size();
   std::vector<Time> next_end(n, 0.0);
+  // The slowest shard's wall clock per phase, per window (non-deterministic
+  // profile section only — see kernel_profile()). Looked up once, on the
+  // first window: a name lookup builds a std::string key.
+  obs::Histogram* drain_ms = nullptr;
+  obs::Histogram* window_ms = nullptr;
+  obs::Histogram* sort_ms = nullptr;
+  obs::Histogram* exchange_ms = nullptr;
   while (now_ < t_end && !Idle()) {
+    if (drain_ms == nullptr) {
+      drain_ms = &profile_.profile("shard.drain_ms");
+      window_ms = &profile_.profile("shard.window_ms");
+      sort_ms = &profile_.profile("shard.sort_ms");
+      exchange_ms = &profile_.profile("shard.exchange_ms");
+    }
     // Bounded-lag window ends: shard j may safely run until the earliest
     // virtual time any other shard could still reach it,
     //   W_j = min(t_end, min over i != j of (C_i + L[i][j])),
@@ -286,12 +299,10 @@ std::size_t ShardedSimulation::RunUntil(Time t_end) {
     ExchangeMailboxes();
     const double exchange_ns = ElapsedNs(xstart);
     critical_ns_ += max_busy + exchange_ns;
-    // Slowest-shard wall clock per phase, per window (non-deterministic
-    // profile section only — see kernel_profile()).
-    profile_.profile("shard.drain_ms").Add(max_drain / 1e6);
-    profile_.profile("shard.window_ms").Add(max_run / 1e6);
-    profile_.profile("shard.sort_ms").Add(max_sort / 1e6);
-    profile_.profile("shard.exchange_ms").Add(exchange_ns / 1e6);
+    drain_ms->Add(max_drain / 1e6);
+    window_ms->Add(max_run / 1e6);
+    sort_ms->Add(max_sort / 1e6);
+    exchange_ms->Add(exchange_ns / 1e6);
     Time min_c = shards_[0]->window_end;
     for (const auto& shard : shards_) min_c = std::min(min_c, shard->window_end);
     now_ = min_c;

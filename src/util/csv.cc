@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <system_error>
@@ -67,29 +66,6 @@ std::string Table::ToText(int precision) const {
   emit_row(header_);
   for (const auto& r : cells) emit_row(r);
   return os.str();
-}
-
-std::string Table::ToCsv(int precision) const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& r) {
-    for (std::size_t i = 0; i < r.size(); ++i)
-      os << r[i] << (i + 1 == r.size() ? "\n" : ",");
-  };
-  emit(header_);
-  for (const auto& row : rows_) {
-    std::vector<std::string> r;
-    r.reserve(row.size());
-    for (const auto& c : row) r.push_back(Format(c, precision));
-    emit(r);
-  }
-  return os.str();
-}
-
-bool Table::WriteCsv(const std::string& path, int precision) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << ToCsv(precision);
-  return static_cast<bool>(out);
 }
 
 }  // namespace p2p::util

@@ -1,9 +1,8 @@
-// Minimal CSV/table writer: bench binaries print the same series the paper
-// plots, both as aligned text tables (human-readable) and optionally as CSV
-// files for external plotting.
+// Aligned text tables (the experiments print the series the paper plots
+// as these; their reports carry the numbers) and the directory helper of
+// the CSV timeseries and event logs.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <variant>
 #include <vector>
@@ -29,10 +28,6 @@ class Table {
 
   // Aligned, human-readable rendering (doubles with `precision` digits).
   std::string ToText(int precision = 3) const;
-  std::string ToCsv(int precision = 6) const;
-
-  // Convenience: write CSV to `path`; returns false on I/O failure.
-  bool WriteCsv(const std::string& path, int precision = 6) const;
 
  private:
   static std::string Format(const Cell& c, int precision);

@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""The p2ppool_cli end to end: every subcommand once at small sizes, its
+"""The p2ppool_cli end to end: every configurable subcommand once at small
+sizes and the fastest figure subcommands at their fixed full size, each
 report checked by tools/validate_report.py, then the rejection matrix —
 an unknown flag, a malformed number and a bad enum or list value per
-subcommand must exit 2 with the subcommand's flags and without a single
-progress line, and --help must print the flags and exit 0 without running.
+subcommand (an unknown flag and a stray argument for the figures, whose
+only flag is --report) must exit 2 with the subcommand's flags and without
+a single progress line, and --help must print the flags and exit 0
+without running.
 
 Usage: cli_test.py path/to/p2ppool_cli path/to/validate_report.py
 """
@@ -56,6 +59,15 @@ REJECTED = {
               ["--oracle", "flatter"], ["--scenarios", "none,flood"]],
 }
 
+# The paper's figures and ablations: fixed sizes, no flag but --report.
+# The five that take well under a second at full size also run end to end.
+FIGURES = ["fig4", "fig5", "fig8", "fig10", "somo-latency", "somo-repair",
+           "ablation-helper", "ablation-adjust", "ablation-staleness",
+           "ablation-bandwidth", "qos-metrics"]
+RUNS.update({cmd: [] for cmd in ("fig5", "ablation-helper", "ablation-adjust",
+                                 "ablation-bandwidth", "qos-metrics")})
+REJECTED.update({cmd: [] for cmd in FIGURES})
+
 failures = []
 
 
@@ -90,7 +102,7 @@ def main():
                               capture_output=True, text=True)
         check(proc.returncode == 0, "validate_report.py", proc.stdout)
 
-        for cmd in RUNS:
+        for cmd in REJECTED:
             report = os.path.join(tmp, cmd + "-rejected.json")
             cases = [["--bogus", "1"]] + REJECTED[cmd] + [["stray"]]
             for case in cases:

@@ -1,12 +1,16 @@
 // The experiment library (src/exp) called the way the CLI calls it: the
 // sharded fullstack run's determinism and memory contracts on the 1200
-// preset, and config checks that reject a run before any work.
+// preset, config checks that reject a run before any work, and a figure
+// whose every printed cell is a report result.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "exp/common.h"
 #include "exp/experiments.h"
 #include "util/check.h"
 
@@ -160,6 +164,82 @@ TEST(ExpConfig, BadValuesAreRejectedBeforeAnyWork) {
   AlertConfig alert;
   alert.scenarios = ",";
   ExpectRejected(alert, RunAlert, "empty list");
+}
+
+TEST(ExpResultTable, EachNumericCellIsAResultNamedByItsRowAndColumn) {
+  obs::RunReport report("tables");
+  ResultTable cdf(report, "cdf", {"rel_error", "GNP-16", "note"});
+  cdf.AddRow({0.05, 0.25, std::string("no result")});
+  cdf.AddRow({1.0, 0.75, std::string("")});
+  ResultTable sel(report, "sel", {"selection", "bytes/node/cycle"});
+  sel.AddRow({std::string("minimax (cond 1-3)"), 6.5});
+  sel.AddRow({std::string("(a)+(b)"), 1ll});
+  // The burst, not the constant node count, names a repair row.
+  ResultTable repair(report, "repair", {"nodes", "burst", "detect_ms"},
+                     /*key_column=*/1);
+  repair.AddRow({128ll, 4ll, 2669.0});
+  const std::string json = report.ToJson();
+  EXPECT_NE(json.find("\"results\":{\"cdf.0_05.GNP-16\":0.25,"
+                      "\"cdf.1.GNP-16\":0.75,"
+                      "\"sel.minimax_cond_1-3.bytes_node_cycle\":6.5,"
+                      "\"sel.a_+_b.bytes_node_cycle\":1,"
+                      "\"repair.4.nodes\":128,"
+                      "\"repair.4.detect_ms\":2669}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(cdf.ToText(2).find("0.05    0.25  no result"), std::string::npos)
+      << cdf.ToText(2);
+}
+
+TEST(ExpSession, StreamRateCapsBoundsBeforeTheHelperFilter) {
+  pool::PoolConfig cfg;
+  cfg.topology.end_hosts = 200;
+  const pool::ResourcePool rp(cfg);
+  util::Rng plain_rng(7), capped_rng(7);
+  const alm::PlanInput plain = SamplePoolSession(rp, plain_rng, 10);
+  const alm::PlanInput capped = SamplePoolSession(rp, capped_rng, 10, 256.0);
+  EXPECT_EQ(capped.root, plain.root);
+  EXPECT_EQ(capped.members, plain.members);
+  EXPECT_EQ(plain.degree_bounds, rp.degree_bounds());
+  for (std::size_t v = 0; v < rp.size(); ++v)
+    EXPECT_LE(capped.degree_bounds[v], rp.degree_bound(v)) << v;
+  // Hosts whose uplink carries fewer than four streams drop out.
+  for (const alm::ParticipantId v : capped.helper_candidates)
+    EXPECT_GE(capped.degree_bounds[v], 4) << v;
+  EXPECT_LT(capped.helper_candidates.size(), plain.helper_candidates.size());
+}
+
+TEST(ExpFigures, QosMetricsPrintsEachResultRounded) {
+  // The fastest figure at its fixed full size: every number in its table
+  // is the result `qos_metrics.<strategy>.<column>` printed at one
+  // decimal, and no progress line lands in the text.
+  const Outcome out = RunQosMetrics();
+  const std::string json = out.report.ToJson();
+  std::istringstream text(out.text);
+  std::string line;
+  std::vector<std::string> columns;  // the header: the line led by "strategy"
+  while (columns.empty() && std::getline(text, line)) {
+    std::istringstream header(line);
+    std::string first;
+    if (!(header >> first) || first != "strategy") continue;
+    columns.push_back(first);
+    for (std::string column; header >> column;) columns.push_back(column);
+  }
+  ASSERT_EQ(columns.size(), 8u) << out.text;
+  std::size_t rows = 0;
+  for (; std::getline(text, line) && !line.empty(); ++rows) {
+    std::istringstream cells(line);
+    std::string strategy;
+    cells >> strategy;
+    for (std::size_t c = 1; c < columns.size(); ++c) {
+      std::string printed;
+      ASSERT_TRUE(cells >> printed) << line;
+      const std::string key = "qos_metrics." + strategy + "." + columns[c];
+      EXPECT_EQ(StrFormat("%.1f", Result(json, key)), printed) << key;
+    }
+  }
+  EXPECT_EQ(rows, 4u) << out.text;
+  EXPECT_EQ(out.text.find("building"), std::string::npos) << out.text;
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 //    peers over another ring or fanout rejected at BindShard,
 //  * exchange edge cases (empty outboxes, one active pair, everything in
 //    one window),
+//  * the wall-clock barrier profile: no phase timer before the first
+//    window, then one sample of each per window,
 //  * per-pair lookahead matrices: byte-identity against the fixed-window
 //    baseline with fewer barriers, per-message rejection of unsound
 //    entries, and ExtractLookahead's exactness/soundness against the
@@ -669,6 +671,34 @@ TEST(ShardExchange, AllMessagesInOneWindowDrainInCanonicalOrder) {
   for (int slot = 0; slot < 16; ++slot) {
     EXPECT_EQ(order[2 * slot], slot);
     EXPECT_EQ(order[2 * slot + 1], 1000 + slot);
+  }
+}
+
+// --------------------------------------------------------- ShardProfile --
+
+TEST(ShardProfile, PhaseTimersAppearWithTheFirstWindow) {
+  // A RunUntil call that runs no window adds no profile keys; once windows
+  // run, each adds one sample to each of the four phase timers.
+  ShardedOptions opts;
+  opts.shards = 2;
+  opts.lookahead_ms = 10.0;
+  opts.seed = 14;
+  opts.threads = 1;
+  ShardedSimulation ssim(opts);
+  EXPECT_EQ(ssim.RunUntil(100.0), 0u);  // idle: fast-forwards, no window
+  EXPECT_EQ(ssim.windows(), 0u);
+  EXPECT_TRUE(ssim.kernel_profile().profiles().empty());
+
+  for (std::size_t s = 0; s < 2; ++s) ssim.shard(s).At(150.0 + s, [] {});
+  EXPECT_EQ(ssim.RunUntil(300.0), 2u);
+  ASSERT_GE(ssim.windows(), 1u);
+  const auto& profiles = ssim.kernel_profile().profiles();
+  EXPECT_EQ(profiles.size(), 4u);
+  for (const char* name : {"shard.drain_ms", "shard.window_ms",
+                           "shard.sort_ms", "shard.exchange_ms"}) {
+    const auto it = profiles.find(name);
+    ASSERT_NE(it, profiles.end()) << name;
+    EXPECT_EQ(it->second.count(), ssim.windows()) << name;
   }
 }
 

@@ -253,35 +253,9 @@ TEST(Table, TextRenderingAligns) {
   EXPECT_NE(text.find("10.25"), std::string::npos);
 }
 
-TEST(Table, CsvRendering) {
-  Table t({"x", "y"});
-  t.AddRow({static_cast<long long>(3), 2.5});
-  EXPECT_EQ(t.ToCsv(1), "x,y\n3,2.5\n");
-}
-
 TEST(Table, RowWidthMismatchThrows) {
   Table t({"a", "b"});
   EXPECT_THROW(t.AddRow({1.0}), CheckError);
-}
-
-TEST(Table, WriteCsvRoundTripsThroughFile) {
-  Table t({"k", "v"});
-  t.AddRow({std::string("alpha"), 1.25});
-  const std::string path = ::testing::TempDir() + "/p2p_table_test.csv";
-  ASSERT_TRUE(t.WriteCsv(path, 2));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line1, line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "k,v");
-  EXPECT_EQ(line2, "alpha,1.25");
-  std::remove(path.c_str());
-}
-
-TEST(Table, WriteCsvFailsOnBadPath) {
-  Table t({"a"});
-  EXPECT_FALSE(t.WriteCsv("/nonexistent-dir-zzz/file.csv"));
 }
 
 TEST(EnsureDir, CreatesNestedDirectoriesAndIsIdempotent) {
@@ -291,10 +265,12 @@ TEST(EnsureDir, CreatesNestedDirectoriesAndIsIdempotent) {
   EXPECT_TRUE(EnsureDir(nested));
   EXPECT_TRUE(std::filesystem::is_directory(nested));
   EXPECT_TRUE(EnsureDir(nested));  // already exists: still fine
-  // The created directory is actually usable for CSVs.
-  Table t({"x"});
-  t.AddRow({1.0});
-  EXPECT_TRUE(t.WriteCsv(nested + "/out.csv"));
+  // The created directory is actually usable: a file written there reads
+  // back.
+  std::ofstream(nested + "/out.csv") << "x\n1\n";
+  std::ifstream in(nested + "/out.csv");
+  std::string line;
+  EXPECT_TRUE(std::getline(in, line) && line == "x");
   std::filesystem::remove_all(base);
 }
 

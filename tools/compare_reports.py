@@ -2,12 +2,13 @@
 """Diff two p2preport/v1 run reports with per-result tolerances.
 
 Same-seed runs of every experiment are deterministic, so the default
-comparison is exact on everything except wall-clock sections: the
-`profile` block of a spliced metrics snapshot (and any `*_ms` result
-whose name marks it as a timing) is skipped. Use --rtol / --atol to
-loosen the numeric comparison globally, or --tolerance KEY=RTOL to
-loosen a single result key (e.g. cross-platform libm drift in a height
-statistic).
+comparison is exact on everything except the wall-clock section: the
+`profile` block of a spliced metrics snapshot is skipped. Experiments
+keep wall-clock timers there and out of their results, so `*_ms`
+results (simulated latencies, staleness, heights) are compared like
+every other result. Use --rtol / --atol to loosen the numeric comparison
+globally, or --tolerance KEY=RTOL to loosen a single result key (e.g.
+cross-platform libm drift in a height statistic).
 
 Compared, in order:
   schema, experiment, seed        exact
@@ -17,10 +18,7 @@ Compared, in order:
   metrics.histograms              count exact; min/max/mean/sum/p* within
                                   tolerance
   alerts                          exact: counts AND the full event log,
-                                  including t_ms (virtual time — this is
-                                  where same-seed timing determinism is
-                                  enforced, since result keys ending in
-                                  _ms are skipped as wall-clock timings)
+                                  including t_ms (virtual time)
   timeseries                      name and total_rows per entry
   metrics.profile                 ignored (wall clock)
 
@@ -58,14 +56,12 @@ class Differ:
         if a != b:
             self.report(path, a, b)
 
-    def numbers(self, path, a, b, skip_timings=False):
+    def numbers(self, path, a, b):
         """Compare two {name: number-or-null} maps."""
         for key in sorted(set(a) | set(b)):
             if key not in a or key not in b:
                 self.report(f"{path}.{key}", a.get(key, "<absent>"),
                             b.get(key, "<absent>"))
-                continue
-            if skip_timings and key.endswith("_ms"):
                 continue
             if not self.close(a[key], b[key], key):
                 self.report(f"{path}.{key}", a[key], b[key])
@@ -77,7 +73,7 @@ def compare(left, right, differ):
     differ.exact("config", left.get("config", {}), right.get("config", {}))
 
     differ.numbers("results", left.get("results", {}),
-                   right.get("results", {}), skip_timings=True)
+                   right.get("results", {}))
 
     ml, mr = left.get("metrics"), right.get("metrics")
     if (ml is None) != (mr is None):

@@ -12,6 +12,7 @@
 //   p2ppool_cli topo  --preset 10k --oracle hier
 //   p2ppool_cli fullstack --preset 10k --oracle hier --group 50
 //   p2ppool_cli compare --preset 1200 --planner tree,mesh
+//   p2ppool_cli fig8 --report fig8.json
 //
 // Each command declares its flags before it parses any: an unknown flag, a
 // malformed number or a value outside its set exits 2, printing the
@@ -19,7 +20,9 @@
 // that fails exits 1. Every command prints an aligned table, and --report
 // FILE also writes a p2preport/v1 JSON run report (tools/report_schema.json)
 // with the effective configuration, the headline numbers, and a
-// metrics-registry snapshot.
+// metrics-registry snapshot. The figure and ablation commands (fig4 ...
+// qos-metrics) run at fixed sizes and take --report only; their progress
+// lines go to stderr, so stdout holds exactly the figure.
 #include <cstdio>
 #include <string>
 
@@ -227,6 +230,12 @@ int Alert(util::FlagParser& flags) {
   return Finish(flags, [&] { return exp::RunAlert(c, stdout); });
 }
 
+// A paper figure or ablation: fixed sizes and seeds, no flag but --report.
+template <exp::Outcome (*Run)(std::FILE*)>
+int Figure(util::FlagParser& flags) {
+  return Finish(flags, [] { return Run(stderr); });
+}
+
 struct Command {
   const char* name;
   const char* summary;
@@ -251,12 +260,34 @@ constexpr Command kCommands[] = {
      Fullstack},
     {"compare", "planners side by side (tree vs mesh) under fault scenarios",
      Compare},
+    {"fig4", "Fig. 4: coordinate-accuracy CDFs, GNP vs leafset",
+     Figure<exp::RunFig4>},
+    {"fig5", "Fig. 5: bandwidth-estimation error vs leafset size",
+     Figure<exp::RunFig5>},
+    {"fig8", "Fig. 8: single-session improvement vs group size",
+     Figure<exp::RunFig8>},
+    {"fig10", "Fig. 10(a)/(b): market-driven concurrent sessions",
+     Figure<exp::RunFig10>},
+    {"somo-latency", "§3.2: SOMO gather-latency bounds and fanout sweep",
+     Figure<exp::RunSomoLatency>},
+    {"somo-repair", "§3.2: LiquidEye self-healing time",
+     Figure<exp::RunSomoRepair>},
+    {"ablation-helper", "§5.2: helper selection rule and radius R sweep",
+     Figure<exp::RunAblationHelper>},
+    {"ablation-adjust", "§5.2 fn. 2: adjustment move classes (a)/(b)/(c)",
+     Figure<exp::RunAblationAdjust>},
+    {"ablation-staleness", "§5.3's live loop: plan quality vs SOMO interval",
+     Figure<exp::RunAblationStaleness>},
+    {"ablation-bandwidth", "stream-rate-capped scheduling",
+     Figure<exp::RunAblationBandwidth>},
+    {"qos-metrics", "§5.1's alternative QoS criteria per strategy",
+     Figure<exp::RunQosMetrics>},
 };
 
 int Usage(int rc) {
   std::printf("usage: p2ppool_cli <command> [flags]\ncommands:\n");
   for (const Command& cmd : kCommands)
-    std::printf("  %-10s %s\n", cmd.name, cmd.summary);
+    std::printf("  %-18s %s\n", cmd.name, cmd.summary);
   std::printf(
       "common flags:\n"
       "  --report FILE   write a p2preport/v1 run_report.json\n"

@@ -13,6 +13,7 @@
 #                                           # (Shard*) and coordinate-level
 #                                           # (CoordDifferential) suites
 #   tools/run_tests.sh --report default     # also run every CLI experiment
+#                                           # (the figures at full size)
 #                                           # with --report and validate the
 #                                           # emitted p2preport/v1 JSON
 #                                           # (and gate the 2-shard
@@ -121,6 +122,14 @@ if [ "$report_mode" = 1 ]; then
     # the mesh rng-stream-continuation repair path to determinism.
     "$cli" compare --preset 1200 --group 20 --helpers 100 \
            --report "$out/compare.json" >/dev/null
+    # The paper's figures and ablations at their fixed full size (about
+    # 20 s a pass): the a/b diff holds every plotted number to the same
+    # contract. Their progress lines go to stderr.
+    for fig in fig4 fig5 fig8 fig10 somo-latency somo-repair \
+               ablation-helper ablation-adjust ablation-staleness \
+               ablation-bandwidth qos-metrics; do
+      "$cli" "$fig" --report "$out/$fig.json" >/dev/null 2>&1
+    done
   done
   python3 tools/validate_report.py "$report_dir"/a/*.json
   for report in "$report_dir"/a/*.json; do
